@@ -380,11 +380,12 @@ func BenchmarkMapSeriesParallelE2E250(b *testing.B) { benchmarkMapSeriesParallel
 
 // --- multi-objective benchmarks (BENCH_PR3.json) ---
 //
-// benchmarkEvaluateBatchMO is benchmarkEvaluateBatch with (makespan,
-// energy) pairs: the ns/op delta against BenchmarkEvaluateBatch<n> is
-// the marginal cost of the engine-level energy objective.
+// benchmarkEvaluateBatchVecEnergy is benchmarkEvaluateBatch with the
+// fused (makespan, energy) columns: the ns/op delta against
+// BenchmarkEvaluateBatch<n> is the marginal cost of the engine-level
+// energy objective.
 
-func benchmarkEvaluateBatchMO(b *testing.B, n int) {
+func benchmarkEvaluateBatchVecEnergy(b *testing.B, n int) {
 	g := benchGraph(n)
 	p := platform.Reference()
 	eng := model.NewEvaluator(g, p).WithSchedules(100, 1).Engine()
@@ -395,16 +396,17 @@ func benchmarkEvaluateBatchMO(b *testing.B, n int) {
 			ops = append(ops, eval.Op{Base: base, Patch: []graph.NodeID{graph.NodeID(v)}, Device: d})
 		}
 	}
+	objs := []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}
 	incumbent := eng.Makespan(base)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.EvaluateBatchMO(ops, incumbent)
+		eng.EvaluateBatchVec(ops, objs, incumbent)
 	}
 }
 
-func BenchmarkEvaluateBatchMO50(b *testing.B)  { benchmarkEvaluateBatchMO(b, 50) }
-func BenchmarkEvaluateBatchMO100(b *testing.B) { benchmarkEvaluateBatchMO(b, 100) }
-func BenchmarkEvaluateBatchMO250(b *testing.B) { benchmarkEvaluateBatchMO(b, 250) }
+func BenchmarkEvaluateBatchVecEnergy50(b *testing.B)  { benchmarkEvaluateBatchVecEnergy(b, 50) }
+func BenchmarkEvaluateBatchVecEnergy100(b *testing.B) { benchmarkEvaluateBatchVecEnergy(b, 100) }
+func BenchmarkEvaluateBatchVecEnergy250(b *testing.B) { benchmarkEvaluateBatchVecEnergy(b, 250) }
 
 // benchmarkEngineEnergy times the standalone energy objective (one
 // O(n) table pass plus the feasibility scan).

@@ -13,7 +13,7 @@
 //	spmap-bench -exp pareto          # extension: multi-objective sweep vs NSGA-II fronts
 //	spmap-bench -exp portfolio       # extension: portfolio racing vs single mappers
 //	spmap-bench -exp online          # extension: warm-start repair vs cold re-map per event
-//	spmap-bench -exp incremental     # extension: incremental vs resume vs full move throughput
+//	spmap-bench -exp incremental     # extension: incremental session vs full replay move throughput
 //	spmap-bench -exp fleet           # extension: sharded replay fleets with checkpoint/resume
 //	spmap-bench -exp fleet -store d  # persistent checkpoints: kill mid-run, re-run, traces verified
 //	spmap-bench -exp robust          # extension: uncertainty-aware robust vs nominal under degradation

@@ -101,7 +101,7 @@ func TestBenchOnlineExperiment(t *testing.T) {
 
 // TestBenchIncrementalExperiment smoke-runs the move-throughput
 // comparison end to end on a tiny profile with CSV export and both
-// profilers enabled. The experiment itself panics if the three
+// profilers enabled. The experiment itself panics if its two
 // evaluation strategies ever disagree, so a clean run doubles as a
 // differential check.
 func TestBenchIncrementalExperiment(t *testing.T) {
@@ -118,10 +118,13 @@ func TestBenchIncrementalExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"full", "resume", "incremental", "moves/sec", "incremental completed"} {
+	for _, want := range []string{"full", "incremental", "moves/sec", "incremental completed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("incremental report missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "resume") {
+		t.Fatalf("incremental report still carries the removed resume arm:\n%s", out)
 	}
 	csv, err := os.ReadFile(filepath.Join(dir, "incremental.csv"))
 	if err != nil {

@@ -176,7 +176,7 @@ func (b *Batcher) submit(ctx context.Context, ops []Op, cutoff float64, out, en 
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
-		return b.e.runBatchCtxTimed(ctx, ops, cutoff, nil, out, en)
+		return b.e.batchCore(ctx, ops, cutoff, out, en)
 	}
 	token := b.tokens.Add(1)
 	now := time.Now()

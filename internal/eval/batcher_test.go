@@ -341,10 +341,10 @@ func TestBatcherMO(t *testing.T) {
 	base := mapping.Mapping(make([]int, g.NumTasks()))
 	ops := randomOps(rng, g, p, base, 40)
 
-	wantMS, wantEn := eng.EvaluateBatchMO(ops, math.Inf(1))
+	wantMS, wantEn := fusedMsEn(eng, ops, math.Inf(1))
 	bat := NewBatcher(eng, BatcherOptions{MaxBatch: 8, MaxWait: 100 * time.Microsecond})
 	defer bat.Close()
-	gotMS, gotEn := eng.WithBatcher(bat).EvaluateBatchMO(ops, math.Inf(1))
+	gotMS, gotEn := fusedMsEn(eng.WithBatcher(bat), ops, math.Inf(1))
 	for i := range ops {
 		if math.Float64bits(gotMS[i]) != math.Float64bits(wantMS[i]) ||
 			math.Float64bits(gotEn[i]) != math.Float64bits(wantEn[i]) {
@@ -433,7 +433,7 @@ func TestCacheBoundedUpgradeKeepsOrder(t *testing.T) {
 		eng.Makespan(m)
 	}
 	// Upgrade entry 0 in place (materializes its energy)...
-	eng.EvaluateBatchMO([]Op{{Base: ms[0]}}, math.Inf(1))
+	fusedMsEn(eng, []Op{{Base: ms[0]}}, math.Inf(1))
 	if got := c.Stats().Evictions; got != 0 {
 		t.Fatalf("upgrade evicted %d entries from a cache at cap", got)
 	}

@@ -10,7 +10,7 @@ import (
 // results, shared between any number of engines (and therefore between
 // any number of mappers racing over one kernel — the portfolio runner's
 // cross-mapper reuse). Attach it with Engine.WithCache; afterwards every
-// Makespan / MakespanCutoff / Evaluate / EvaluateBatch / EvaluateBatchMO
+// Makespan / MakespanCutoff / Evaluate / EvaluateBatch / EvaluateBatchVec
 // call first consults the cache and only simulates on a miss.
 //
 // Correctness contract: the cache only ever stores *exact* results — a

@@ -14,6 +14,13 @@ import (
 	"spmap/internal/platform"
 )
 
+// fusedMsEn runs the fused [makespan, energy] pass of the vector API and
+// returns its two columns.
+func fusedMsEn(eng *Engine, ops []Op, cutoff float64) (ms, en []float64) {
+	cols := eng.EvaluateBatchVec(ops, []Objective{MakespanObjective(), EnergyObjective()}, cutoff)
+	return cols[0], cols[1]
+}
+
 // randomOps draws a mix of whole-mapping and patched ops around base.
 func randomOps(rng *rand.Rand, g *graph.DAG, p *platform.Platform, base mapping.Mapping, count int) []Op {
 	ops := make([]Op, 0, count)
@@ -86,8 +93,8 @@ func TestCacheMOLazyEnergy(t *testing.T) {
 	ops := randomOps(rng, g, p, mapping.Mapping(make([]int, g.NumTasks())), 100)
 	// Warm via the single-objective path (entries without energy).
 	cached.EvaluateBatch(ops, math.Inf(1))
-	gotMS, gotEn := cached.EvaluateBatchMO(ops, math.Inf(1))
-	wantMS, wantEn := plain.EvaluateBatchMO(ops, math.Inf(1))
+	gotMS, gotEn := fusedMsEn(cached, ops, math.Inf(1))
+	wantMS, wantEn := fusedMsEn(plain, ops, math.Inf(1))
 	for i := range ops {
 		if math.Float64bits(gotMS[i]) != math.Float64bits(wantMS[i]) {
 			t.Fatalf("op %d: makespan %v != %v", i, gotMS[i], wantMS[i])
@@ -96,11 +103,11 @@ func TestCacheMOLazyEnergy(t *testing.T) {
 			t.Fatalf("op %d: energy %v != %v", i, gotEn[i], wantEn[i])
 		}
 	}
-	// A second MO pass must serve the upgraded entries.
-	gotMS2, gotEn2 := cached.EvaluateBatchMO(ops, math.Inf(1))
+	// A second fused pass must serve the upgraded entries.
+	gotMS2, gotEn2 := fusedMsEn(cached, ops, math.Inf(1))
 	for i := range ops {
 		if gotMS2[i] != gotMS[i] || gotEn2[i] != gotEn[i] {
-			t.Fatalf("op %d: MO results unstable across cached passes", i)
+			t.Fatalf("op %d: fused results unstable across cached passes", i)
 		}
 	}
 }
@@ -144,9 +151,9 @@ func TestCacheInfeasibleExact(t *testing.T) {
 		if ms := eng.MakespanCutoff(bad, 0.001); ms != Infeasible {
 			t.Fatalf("pass %d: infeasible mapping returned %v", i, ms)
 		}
-		ms, en := eng.EvaluateBatchMO([]Op{{Base: bad}}, math.Inf(1))
+		ms, en := fusedMsEn(eng, []Op{{Base: bad}}, math.Inf(1))
 		if ms[0] != Infeasible || en[0] != Infeasible {
-			t.Fatalf("pass %d: MO infeasible returned (%v, %v)", i, ms[0], en[0])
+			t.Fatalf("pass %d: fused infeasible returned (%v, %v)", i, ms[0], en[0])
 		}
 	}
 	if st := eng.Cache().Stats(); st.Hits == 0 {
@@ -199,7 +206,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	base := mapping.Mapping(make([]int, g.NumTasks()))
 	ops := randomOps(rng, g, p, base, 300)
 	want := plain.EvaluateBatch(ops, math.Inf(1))
-	wantMS, wantEn := plain.EvaluateBatchMO(ops, math.Inf(1))
+	wantMS, wantEn := fusedMsEn(plain, ops, math.Inf(1))
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -220,12 +227,12 @@ func TestCacheConcurrentHammer(t *testing.T) {
 						}
 					}
 				} else {
-					gotMS, gotEn := cached.EvaluateBatchMO(ops, math.Inf(1))
+					gotMS, gotEn := fusedMsEn(cached, ops, math.Inf(1))
 					for i := range gotMS {
 						if math.Float64bits(gotMS[i]) != math.Float64bits(wantMS[i]) ||
 							math.Float64bits(gotEn[i]) != math.Float64bits(wantEn[i]) {
 							select {
-							case errs <- "EvaluateBatchMO diverged under concurrency":
+							case errs <- "fused EvaluateBatchVec diverged under concurrency":
 							default:
 							}
 							return

@@ -3,9 +3,10 @@ package eval_test
 // Differential fuzzing of the engine's energy objective against the
 // reference model.Evaluator.Energy, mirroring FuzzEngineMatchesReference:
 // random DAGs, attributes, mappings and schedule sets; Engine.Energy and
-// the EvaluateBatchMO energies must reproduce the reference bit-for-bit
-// — plain and patched, serial and over 1/4 workers, feasible and
-// infeasible — while the MO makespans stay identical to EvaluateBatch.
+// the energies of the fused EvaluateBatchVec [makespan, energy] pass
+// must reproduce the reference bit-for-bit — plain and patched, serial
+// and over 1/4 workers, feasible and infeasible — while the fused
+// makespans stay identical to EvaluateBatch.
 
 import (
 	"math"
@@ -19,6 +20,13 @@ import (
 	"spmap/internal/model"
 	"spmap/internal/platform"
 )
+
+// fusedMsEn runs the fused [makespan, energy] pass of the vector API and
+// returns its two columns.
+func fusedMsEn(eng *eval.Engine, ops []eval.Op, cutoff float64) (ms, en []float64) {
+	cols := eng.EvaluateBatchVec(ops, []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}, cutoff)
+	return cols[0], cols[1]
+}
 
 func FuzzEngineEnergyMatchesReference(f *testing.F) {
 	f.Add([]byte{})
@@ -60,13 +68,13 @@ func FuzzEngineEnergyMatchesReference(f *testing.F) {
 			wantMs = append(wantMs, ev.ReferenceMakespan(patched))
 		}
 		for _, workers := range []int{1, 4} {
-			ms, en := eng.WithWorkers(workers).EvaluateBatchMO(ops, math.Inf(1))
+			ms, en := fusedMsEn(eng.WithWorkers(workers), ops, math.Inf(1))
 			for i := range en {
 				if en[i] != wantEn[i] {
 					t.Fatalf("workers=%d op %d: energy %v != reference %v", workers, i, en[i], wantEn[i])
 				}
 				if ms[i] != wantMs[i] {
-					t.Fatalf("workers=%d op %d: MO makespan %v != reference %v", workers, i, ms[i], wantMs[i])
+					t.Fatalf("workers=%d op %d: fused makespan %v != reference %v", workers, i, ms[i], wantMs[i])
 				}
 				if (en[i] == model.Infeasible) != (ms[i] == model.Infeasible) {
 					t.Fatalf("workers=%d op %d: energy/makespan infeasibility disagree", workers, i)
@@ -75,7 +83,7 @@ func FuzzEngineEnergyMatchesReference(f *testing.F) {
 		}
 		// Energies stay exact under a finite makespan cutoff.
 		if cut := wantMs[0]; cut != model.Infeasible {
-			_, en := eng.EvaluateBatchMO(ops, cut*0.5)
+			_, en := fusedMsEn(eng, ops, cut*0.5)
 			for i := range en {
 				if en[i] != wantEn[i] {
 					t.Fatalf("cutoff op %d: energy %v != reference %v", i, en[i], wantEn[i])
@@ -85,7 +93,7 @@ func FuzzEngineEnergyMatchesReference(f *testing.F) {
 
 		// An incremental session is single-objective, so the energy path
 		// never goes through it — but a live session shares the engine's
-		// state pools with the MO batch path. Interleaving the two must
+		// state pools with the fused batch path. Interleaving the two must
 		// perturb neither: session makespans stay bit-identical to the
 		// reference and batch energies keep matching wantEn throughout.
 		inc := eng.Incremental(m, nil)
@@ -99,8 +107,8 @@ func FuzzEngineEnergyMatchesReference(f *testing.F) {
 			if got, want := inc.Evaluate(one, d, math.Inf(1)), ev.ReferenceMakespan(cand); got != want {
 				t.Fatalf("session step %d: eval %v != reference %v", step, got, want)
 			}
-			if _, en := eng.EvaluateBatchMO(ops, math.Inf(1)); en[0] != wantEn[0] {
-				t.Fatalf("session step %d: interleaved MO energy %v != reference %v", step, en[0], wantEn[0])
+			if _, en := fusedMsEn(eng, ops, math.Inf(1)); en[0] != wantEn[0] {
+				t.Fatalf("session step %d: interleaved fused energy %v != reference %v", step, en[0], wantEn[0])
 			}
 			if rng.Intn(2) == 0 {
 				inc.Apply(one, d)
@@ -108,7 +116,7 @@ func FuzzEngineEnergyMatchesReference(f *testing.F) {
 			}
 		}
 		if got, want := inc.Makespan(), ev.ReferenceMakespan(cur); got != want {
-			t.Fatalf("session makespan %v != reference %v after MO interleaving", got, want)
+			t.Fatalf("session makespan %v != reference %v after fused-batch interleaving", got, want)
 		}
 		inc.Close()
 	})
@@ -135,9 +143,10 @@ func TestEngineEnergyMatchesReferenceSweep(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchMOMatchesEvaluateBatch pins the MO makespans to the
-// single-objective batch path bit-for-bit (same ops, same cutoff).
-func TestEvaluateBatchMOMatchesEvaluateBatch(t *testing.T) {
+// TestEvaluateBatchVecMatchesEvaluateBatch pins the fused pass's
+// makespans to the single-objective batch path bit-for-bit (same ops,
+// same cutoff).
+func TestEvaluateBatchVecMatchesEvaluateBatch(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(7))
 	g := gen.SeriesParallel(rng, 40, gen.DefaultAttr())
@@ -154,10 +163,10 @@ func TestEvaluateBatchMOMatchesEvaluateBatch(t *testing.T) {
 	}
 	for _, cutoff := range []float64{math.Inf(1), eng.Makespan(base)} {
 		want := eng.EvaluateBatch(ops, cutoff)
-		got, _ := eng.EvaluateBatchMO(ops, cutoff)
+		got, _ := fusedMsEn(eng, ops, cutoff)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("cutoff %v op %d: MO makespan %v != batch makespan %v", cutoff, i, got[i], want[i])
+				t.Fatalf("cutoff %v op %d: fused makespan %v != batch makespan %v", cutoff, i, got[i], want[i])
 			}
 		}
 	}

@@ -44,12 +44,8 @@ type Engine struct {
 	// cache, if non-nil, memoizes exact evaluation results across all
 	// engines sharing it (see WithCache and type Cache).
 	cache *Cache
-	// noInc disables the fast-forward incremental resume path (see
-	// WithIncremental); kept in negated form so the zero value selects
-	// the fast path.
-	noInc bool
-	// bat, if non-nil, routes EvaluateBatch / EvaluateBatchMO /
-	// EvaluateBatchCtx through a shared cross-caller coalescing batcher
+	// bat, if non-nil, routes EvaluateBatch / EvaluateBatchCtx /
+	// EvaluateBatchVec through a shared cross-caller coalescing batcher
 	// (see WithBatcher and type Batcher).
 	bat *Batcher
 	// sink, if non-nil, accumulates batch wait/eval timing attributed to
@@ -129,30 +125,17 @@ func (e *Engine) WithWorkers(w int) *Engine {
 	return &d
 }
 
-// WithIncremental returns an engine sharing this engine's kernel, pools
-// and cache, with the fast-forward incremental resume path enabled
-// (on = true; the default for every new engine) or disabled (plain
-// prefix-resume — the PR 4 behavior, kept selectable for benchmark
-// comparisons). Both settings produce bit-identical results for every
-// evaluation (see makespanInc); the switch only changes how much of each
-// schedule order is replayed. The receiver is not modified.
-func (e *Engine) WithIncremental(on bool) *Engine {
-	d := *e
-	d.noInc = !on
-	return &d
-}
-
 // WithBatcher returns an engine sharing this engine's kernel, pools and
-// cache whose EvaluateBatch / EvaluateBatchMO / EvaluateBatchCtx calls
+// cache whose EvaluateBatch / EvaluateBatchCtx / EvaluateBatchVec calls
 // are routed through b, coalescing them with the batch calls of every
 // other goroutine (and, in the mapping service, every other request)
 // sharing the batcher into single underlying batch runs. Results are
 // bit-identical to the direct path: each op keeps its own cutoff and
 // the per-op evaluation is the same computation regardless of which
 // flush carries it. Only the batch entry points coalesce — single-op
-// calls (Makespan, Evaluate, Neighborhood, Incremental sessions) stay
-// direct, since blocking a serial search loop on the flush deadline
-// would cost latency without amortizing anything.
+// calls (Makespan, Evaluate, Incremental sessions) stay direct, since
+// blocking a serial search loop on the flush deadline would cost
+// latency without amortizing anything.
 //
 // The batcher must have been built (NewBatcher) from an engine with
 // this engine's kernel and cache configuration; anything else is a
@@ -265,20 +248,27 @@ func (e *Engine) Evaluate(op Op, cutoff float64) float64 {
 // batches (same per-op results, see Batcher).
 func (e *Engine) EvaluateBatch(ops []Op, cutoff float64) []float64 {
 	out := make([]float64, len(ops))
-	e.batchCore(ops, cutoff, out, nil)
+	e.batchCore(nil, ops, cutoff, out, nil)
 	return out
 }
 
 // batchCore is the shared body of the makespan/energy batch entry
-// points (EvaluateBatch, EvaluateBatchMO, EvaluateBatchVec): the
+// points (EvaluateBatch, EvaluateBatchCtx, EvaluateBatchVec): the
 // batcher-vs-direct dispatch with out receiving makespans and en, if
-// non-nil, the fused per-op energies.
-func (e *Engine) batchCore(ops []Op, cutoff float64, out, en []float64) {
+// non-nil, the fused per-op energies. A non-nil ctx cancels the batch
+// between ops (see EvaluateBatchCtx). The direct path records its wall
+// time into the engine's timing sink when one is set.
+func (e *Engine) batchCore(ctx context.Context, ops []Op, cutoff float64, out, en []float64) error {
 	if e.bat != nil {
-		e.bat.submit(nil, ops, cutoff, out, en, e.sink)
-		return
+		return e.bat.submit(ctx, ops, cutoff, out, en, e.sink)
 	}
-	e.runBatchTimed(nil, ops, cutoff, out, en)
+	if e.sink == nil {
+		return e.runBatchCtx(ctx, ops, cutoff, nil, out, en)
+	}
+	start := time.Now()
+	err := e.runBatchCtx(ctx, ops, cutoff, nil, out, en)
+	e.sink.record(0, time.Since(start).Nanoseconds(), len(ops), 1)
+	return err
 }
 
 // energyBatch fills out with the exact compute energies of the ops'
@@ -322,32 +312,8 @@ func (e *Engine) EvaluateBatchCtx(ctx context.Context, ops []Op, cutoff float64)
 	for i := range out {
 		out[i] = math.NaN()
 	}
-	if e.bat != nil {
-		err := e.bat.submit(ctx, ops, cutoff, out, nil, e.sink)
-		return out, err
-	}
-	err := e.runBatchCtxTimed(ctx, ops, cutoff, nil, out, nil)
+	err := e.batchCore(ctx, ops, cutoff, out, nil)
 	return out, err
-}
-
-// EvaluateBatchMO is EvaluateBatch for the multi-objective extension: it
-// additionally returns the index-aligned compute energies of the ops'
-// (patched) mappings, each bit-identical to model.Evaluator.Energy and
-// Infeasible exactly when the makespan is. The energy is evaluated on
-// the same materialized mapping as the makespan at near-zero marginal
-// cost (one O(n) pass over the precomputed energy table, against the
-// makespan's O(orders x edges) simulation) and is always exact — only
-// the makespans obey the cutoff contract.
-//
-// EvaluateBatchMO is the legacy twin-slice shim over the objective-
-// vector API: it is defined to be — and guarded by tests to stay —
-// bit-identical to EvaluateBatchVec(ops, [Makespan, Energy], cutoff),
-// both running the same fused batchCore pass.
-func (e *Engine) EvaluateBatchMO(ops []Op, cutoff float64) (makespans, energies []float64) {
-	makespans = make([]float64, len(ops))
-	energies = make([]float64, len(ops))
-	e.batchCore(ops, cutoff, makespans, energies)
-	return makespans, energies
 }
 
 // lazyPrefix defers recording a shared base mapping's simulation until
@@ -355,8 +321,7 @@ func (e *Engine) EvaluateBatchMO(ops []Op, cutoff float64) (makespans, energies 
 // all) ops of a batch are served without simulating, and an eagerly
 // recorded prefix would cost a full uncut evaluation for nothing. The
 // build runs at most once (sync.Once publishes the prefix safely to
-// every concurrently-missing worker); a prefix installed at
-// construction (the Neighborhood path) is reused as-is.
+// every concurrently-missing worker).
 type lazyPrefix struct {
 	once sync.Once
 	e    *Engine
@@ -367,9 +332,6 @@ type lazyPrefix struct {
 // get returns the recorded prefix, building it on first use.
 func (lp *lazyPrefix) get() *batchPrefix {
 	lp.once.Do(func() {
-		if lp.pre != nil {
-			return // pre-built (Neighborhood's eager path)
-		}
 		lp.pre = lp.e.prePool.Get().(*batchPrefix)
 		st := lp.e.getState()
 		lp.e.k.buildPrefix(st, lp.base, lp.pre)
@@ -386,23 +348,6 @@ func (lp *lazyPrefix) release() {
 	}
 }
 
-// runBatchTimed runs the direct (uncoalesced) batch path, recording the
-// evaluation wall time into the engine's timing sink when one is set.
-func (e *Engine) runBatchTimed(ctx context.Context, ops []Op, cutoff float64, out, en []float64) {
-	e.runBatchCtxTimed(ctx, ops, cutoff, nil, out, en)
-}
-
-// runBatchCtxTimed is runBatchCtx plus sink accounting.
-func (e *Engine) runBatchCtxTimed(ctx context.Context, ops []Op, cutoff float64, cutoffs, out, en []float64) error {
-	if e.sink == nil {
-		return e.runBatchCtx(ctx, ops, cutoff, cutoffs, out, en)
-	}
-	start := time.Now()
-	err := e.runBatchCtx(ctx, ops, cutoff, cutoffs, out, en)
-	e.sink.record(0, time.Since(start).Nanoseconds(), len(ops), 1)
-	return err
-}
-
 // opCutoff selects op i's cutoff: the per-op slice when present (the
 // coalescing batcher mixes callers with different cutoffs in one
 // flush), otherwise the shared scalar.
@@ -412,6 +357,11 @@ func opCutoff(cutoff float64, cutoffs []float64, i int) float64 {
 	}
 	return cutoff
 }
+
+// prefixBuildThreshold is the number of patched ops sharing one base at
+// which a batch records that base's prefix: recording costs about one
+// uncut full evaluation and saves roughly half of each subsequent one.
+const prefixBuildThreshold = 3
 
 // runBatchCtx is the shared worker-pool body of all batch entry points;
 // en, if non-nil, receives per-op energies; cutoffs, if non-nil,
@@ -427,7 +377,7 @@ func (e *Engine) runBatchCtx(ctx context.Context, ops []Op, cutoff float64, cuto
 	// serve; every sharing op then resumes each order at its first
 	// patched position instead of replaying the common prefix. Recording
 	// costs about one uncut evaluation, so it only pays off once enough
-	// patched ops share the base (same threshold as Neighborhood).
+	// patched ops share the base.
 	var pre *lazyPrefix
 	var preBase *int
 	shared := 0
@@ -500,63 +450,6 @@ func enPtr(en []float64, i int) *float64 {
 	return &en[i]
 }
 
-// Neighborhood amortizes prefix recording for repeated patched
-// evaluations around one base mapping — the sequential counterpart of
-// EvaluateBatch for search heuristics that must observe each result
-// before choosing the next candidate (gamma-threshold, first-fit). The
-// base's simulation is recorded lazily once the call count makes it
-// profitable — and, with a cache attached, only when a candidate
-// actually misses; afterwards every Evaluate resumes each schedule
-// order at the candidate's first patched position. A Neighborhood is
-// bound to the contents of base at recording time and is not safe for
-// concurrent use; call Reset after mutating the base, and Close when
-// done.
-type Neighborhood struct {
-	e     *Engine
-	base  mapping.Mapping
-	pre   *lazyPrefix
-	calls int
-}
-
-// prefixBuildThreshold is the Evaluate-call count at which a
-// Neighborhood records its base prefix: recording costs about one
-// uncut full evaluation and saves roughly half of each subsequent one.
-const prefixBuildThreshold = 3
-
-// Neighborhood opens an evaluation session around base (see type doc).
-func (e *Engine) Neighborhood(base mapping.Mapping) *Neighborhood {
-	return &Neighborhood{e: e, base: base}
-}
-
-// Evaluate returns the makespan of the base with the patched tasks
-// remapped to device, under the MakespanCutoff contract.
-func (nb *Neighborhood) Evaluate(patch []graph.NodeID, device int, cutoff float64) float64 {
-	nb.calls++
-	st := nb.e.getState()
-	if nb.pre == nil && nb.calls >= prefixBuildThreshold {
-		nb.pre = &lazyPrefix{e: nb.e, base: nb.base}
-	}
-	var preBase *int
-	if nb.pre != nil {
-		preBase = &nb.base[0]
-	}
-	ms := nb.e.evalOp(st, Op{Base: nb.base, Patch: patch, Device: device}, cutoff, nb.pre, preBase, nil)
-	nb.e.pool.Put(st)
-	return ms
-}
-
-// Reset re-arms the session after the base mapping's contents changed
-// (the recorded prefix, if any, is discarded and re-recorded lazily).
-func (nb *Neighborhood) Reset() {
-	nb.calls = 0
-	nb.pre.release()
-	nb.pre = nil
-}
-
-// Close releases the session's resources. The Neighborhood must not be
-// used afterwards.
-func (nb *Neighborhood) Close() { nb.Reset() }
-
 // evalOp materializes op's mapping (patching into the state's private
 // buffer when needed) and runs the bounded makespan evaluation. pre, if
 // non-nil, is the (lazily recorded) simulation of the base mapping
@@ -579,9 +472,6 @@ func (e *Engine) evalOp(st *simState, op Op, cutoff float64, pre *lazyPrefix, pr
 		var ms float64
 		sim := func() float64 {
 			if pre != nil && preBase == &op.Base[0] {
-				if e.noInc {
-					return e.k.makespanResume(st, st.mbuf, op.Patch, pre.get(), cutoff)
-				}
 				return e.k.makespanInc(st, st.mbuf, op.Patch, pre.get(), cutoff, true, nil, nil)
 			}
 			return e.k.makespan(st, st.mbuf, cutoff)

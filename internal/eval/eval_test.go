@@ -170,17 +170,6 @@ func TestBatchResumeCutoffContract(t *testing.T) {
 			}
 		}
 	}
-
-	// Neighborhood must agree with the batch path, before and after its
-	// lazy prefix recording kicks in.
-	nb := eng.Neighborhood(base)
-	defer nb.Close()
-	full := eng.EvaluateBatch(ops, math.Inf(1))
-	for i, op := range ops {
-		if got := nb.Evaluate(op.Patch, op.Device, math.Inf(1)); got != full[i] {
-			t.Fatalf("neighborhood op %d: %v != batch %v", i, got, full[i])
-		}
-	}
 }
 
 func TestEvaluateBatchMatchesSingleEvaluations(t *testing.T) {

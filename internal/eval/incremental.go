@@ -843,18 +843,19 @@ func (k *kernel) applyOrder(st *simState, base []int, o int, tasks []graph.NodeI
 	k.rebaseOrder(st, base, o, i0, barrier, pre)
 }
 
-// makespanInc is makespanResume with the incremental machinery: a global
-// capacity pre-check that can reject the candidate before any order is
-// touched, then per order a path-bound pre-check followed by a resume
-// at the first patched position with fast-forwarding, the dominance
-// abort and the in-replay capacity bound (see simOrderInc). ff = false
-// disables fast-forward and dominance — the plain prefix-resume path
-// for composition-boundary-crossing patches. Results are bit-identical to makespan/makespanResume under
-// the same contract: the returned value is the exact schedule-set
-// minimum whenever it is <= cutoff, and otherwise both exceeds the
-// cutoff and lower-bounds the true makespan.
+// makespanInc is makespan for a patched mapping m whose unpatched base
+// was recorded into pre: a global capacity pre-check that can reject the
+// candidate before any order is touched, then per order a path-bound
+// pre-check followed by a resume at the first patched position with
+// fast-forwarding, the dominance abort and the in-replay capacity bound
+// (see simOrderInc). ff = false disables fast-forward and dominance —
+// the plain prefix-resume path for composition-boundary-crossing
+// patches. Results are bit-identical to makespan under the same
+// contract: the returned value is the exact schedule-set minimum
+// whenever it is <= cutoff, and otherwise both exceeds the cutoff and
+// lower-bounds the true makespan.
 //
-// The aggregation differs slightly from makespanResume because a fast-
+// The aggregation differs slightly from makespan's because a fast-
 // forwarded order completes with its exact makespan even when that
 // exceeds the order's bound. best (min over completed orders) is
 // therefore exact but possibly > cutoff; in that case every abort ran
@@ -1036,12 +1037,7 @@ const pendCap = 24
 // membership test: patches within one decomposition tree fast-forward,
 // boundary-crossing ones fall back); single-task patches always
 // fast-forward. base must have one entry per task of the compiled graph.
-// On an engine configured WithIncremental(false) it returns nil — the
-// session is the incremental path, so disabling one disables the other.
 func (e *Engine) Incremental(base mapping.Mapping, gate func([]graph.NodeID) bool) *Incremental {
-	if e.noInc {
-		return nil
-	}
 	s := &Incremental{
 		e:    e,
 		gate: gate,
@@ -1050,8 +1046,11 @@ func (e *Engine) Incremental(base mapping.Mapping, gate func([]graph.NodeID) boo
 		pre:  e.prePool.Get().(*batchPrefix),
 		pend: make([][]graph.NodeID, e.k.numOrders),
 	}
+	// One backing array for every order's pending list; the full slice
+	// expression caps each list at its own stripe.
+	stripes := make([]graph.NodeID, len(s.pend)*pendCap)
 	for o := range s.pend {
-		s.pend[o] = make([]graph.NodeID, 0, pendCap)
+		s.pend[o] = stripes[o*pendCap : o*pendCap : (o+1)*pendCap]
 	}
 	copy(s.base, base)
 	return s

@@ -3,9 +3,8 @@ package eval_test
 // Black-box tests of the Incremental session: equivalence with the
 // engine on materialized mappings (exact and under the cutoff
 // contract), lazy-apply folding across the pendCap overflow, Rebase,
-// gate-driven fallback accounting, the steady-state allocation audit,
-// and the Neighborhood prefix-invalidation regression the session's
-// pooling shares buffers with.
+// gate-driven fallback accounting and the steady-state allocation
+// audit.
 
 import (
 	"math"
@@ -141,9 +140,9 @@ func TestIncrementalGateFallback(t *testing.T) {
 	}
 }
 
-// TestIncrementalEdgeCases covers the degenerate inputs: a disabled
-// engine yields no session, an empty patch evaluates the base itself,
-// and a zero-task graph evaluates to makespan 0.
+// TestIncrementalEdgeCases covers the degenerate inputs: an empty patch
+// evaluates the base itself, and a zero-task graph evaluates to
+// makespan 0.
 func TestIncrementalEdgeCases(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(3))
@@ -151,10 +150,6 @@ func TestIncrementalEdgeCases(t *testing.T) {
 	ev := model.NewEvaluator(g, p).WithSchedules(4, 3)
 	eng := ev.Engine()
 	base := mapping.Baseline(g, p)
-
-	if eng.WithIncremental(false).Incremental(base, nil) != nil {
-		t.Fatal("session on a WithIncremental(false) engine")
-	}
 
 	inc := eng.Incremental(base, nil)
 	defer inc.Close()
@@ -207,42 +202,4 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, move); allocs != 0 {
 		t.Fatalf("steady-state session move allocates %.1f times per run, want 0", allocs)
 	}
-}
-
-// TestNeighborhoodResetAfterBaseMutation is the prefix-invalidation
-// regression: a Neighborhood records its base prefix after
-// prefixBuildThreshold calls; mutating the base and calling Reset must
-// discard it. A missing Reset would serve resumed evaluations of the
-// old base's recording against the new base's contents.
-func TestNeighborhoodResetAfterBaseMutation(t *testing.T) {
-	p := platform.Reference()
-	rng := rand.New(rand.NewSource(9))
-	g := gen.SeriesParallel(rng, 45, gen.DefaultAttr())
-	ev := model.NewEvaluator(g, p).WithSchedules(6, 9)
-	eng := ev.Engine()
-	n := g.NumTasks()
-	nd := p.NumDevices()
-	base := mapping.Baseline(g, p)
-	nb := eng.Neighborhood(base)
-	defer nb.Close()
-
-	check := func(tag string) {
-		for i := 0; i < 6; i++ { // well past prefixBuildThreshold
-			v := []graph.NodeID{graph.NodeID((i * 7) % n)}
-			dev := i % nd
-			want := eng.Makespan(base.Clone().Assign(v, dev))
-			if got := nb.Evaluate(v, dev, math.Inf(1)); got != want {
-				t.Fatalf("%s eval %d: %v != engine %v", tag, i, got, want)
-			}
-		}
-	}
-	check("initial")
-	for v := range base { // accepted-move-style base mutation
-		base[v] = rng.Intn(nd)
-	}
-	nb.Reset()
-	check("after mutate+reset")
-	// Reset on a virgin (never recorded) session must also be safe.
-	nb.Reset()
-	check("after idle reset")
 }

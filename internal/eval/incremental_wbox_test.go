@@ -78,7 +78,7 @@ func TestPreLBSoundness(t *testing.T) {
 		st2 := k.newState()
 		for o := 0; o < k.numOrders; o++ {
 			lb := k.preLB(st, m, o, patch, pre, math.Inf(1))
-			exact, _ := k.simOrder(st2, m, o, 0, nil, 1e308, nil)
+			exact, _ := k.simOrder(st2, m, o, 1e308, nil)
 			lb2 := k.preLB(st, m, o, patch, pre, exact*(0.2+1.6*rng.Float64()))
 			if lb > exact || lb2 > exact {
 				t.Fatalf("trial %d order %d: preLB %.17g / bounded %.17g > exact %.17g\nn=%d base=%v m=%v patch=%v",

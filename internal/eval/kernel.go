@@ -375,7 +375,7 @@ type simState struct {
 	// stamp/epoch discriminate, during a resumed simulation, tasks placed
 	// by this run (read from start/finish) from tasks placed before the
 	// resume point (read from the batch prefix): stamp[v] == epoch iff v
-	// was placed by the current simOrder call.
+	// was placed by the current simOrderInc call.
 	stamp []uint64
 	epoch uint64
 
@@ -519,55 +519,31 @@ func (k *kernel) transfer(a, b int, bytes float64) float64 {
 	return k.pairLat[pi] + bytes/k.pairBW[pi]
 }
 
-// simOrder simulates the o-th schedule order of mapping m, resuming at
-// position i0 from the recorded base prefix pre (pass i0 = 0, pre = nil
-// for a from-scratch simulation). It returns the makespan and true if
-// the simulation ran to completion; if the partial makespan ever exceeds
-// bound, it aborts and returns (partial, false). Every floating-point
-// operation matches model.Evaluator.MakespanOrder in value and sequence
-// (resuming replays the identical suffix arithmetic, since no patched
-// task occurs before i0), so completed simulations are bit-identical to
-// the reference.
+// simOrder simulates the o-th schedule order of mapping m from an empty
+// schedule. It returns the makespan and true if the simulation ran to
+// completion; if the partial makespan ever exceeds bound, it aborts and
+// returns (partial, false). Every floating-point operation matches
+// model.Evaluator.MakespanOrder in value and sequence, so completed
+// simulations are bit-identical to the reference.
 //
 // When rec is non-nil the simulation additionally records order o into
 // it — per-task start/finish plus per-position slot/makespan checkpoints
-// — for later resumption (see buildPrefix); recording requires i0 = 0,
-// pre = nil and an infinite bound, and routes the task times into rec's
-// arrays so the one placement loop serves both modes and cannot drift.
-func (k *kernel) simOrder(st *simState, m []int, o int, i0 int, pre *batchPrefix, bound float64, rec *batchPrefix) (float64, bool) {
+// — for later resumption (see buildPrefix); recording requires an
+// infinite bound and routes the task times into rec's arrays so the one
+// placement loop serves both modes and cannot drift.
+func (k *kernel) simOrder(st *simState, m []int, o int, bound float64, rec *batchPrefix) (float64, bool) {
 	n := k.n
 	var makespan float64
-	var preStart, preFinish []float64
-	if i0 > 0 {
-		copy(st.free, pre.freeCkpt[(o*n+i0)*k.numSlots:(o*n+i0+1)*k.numSlots])
-		makespan = pre.msCkpt[o*n+i0]
-		if makespan > bound {
-			// The base prefix alone already exceeds the bound; a
-			// from-scratch simulation would have aborted within it.
-			return makespan, false
-		}
-		preStart = pre.start[o*n : (o+1)*n]
-		preFinish = pre.finish[o*n : (o+1)*n]
-	} else {
-		for i := range st.free {
-			st.free[i] = 0
-		}
-		// With i0 == 0 every predecessor is placed by this run, so the
-		// prefix arrays are never read.
-		preStart, preFinish = st.start, st.finish
+	for i := range st.free {
+		st.free[i] = 0
 	}
-	st.epoch++
-	epoch, stamp := st.epoch, st.stamp
 	start, finish, free := st.start, st.finish, st.free
 	if rec != nil {
 		// Record mode: task times land in the recording's per-order rows.
-		// Placed predecessors still resolve correctly — their stamps match
-		// this epoch, and both read branches alias the same rows.
 		start = rec.start[o*n : (o+1)*n]
 		finish = rec.finish[o*n : (o+1)*n]
-		preStart, preFinish = start, finish
 	}
-	for pi, v32 := range k.orders[o*n+i0 : (o+1)*n] {
+	for pi, v32 := range k.orders[o*n : (o+1)*n] {
 		if rec != nil {
 			copy(rec.freeCkpt[(o*n+pi)*k.numSlots:(o*n+pi+1)*k.numSlots], free)
 			rec.msCkpt[o*n+pi] = makespan
@@ -585,10 +561,7 @@ func (k *kernel) simOrder(st *simState, m []int, o int, i0 int, pre *batchPrefix
 		if k.devStreaming[d] {
 			for i := lo; i < hi; i++ {
 				u := int(k.inFrom[i])
-				su, fu := preStart[u], preFinish[u]
-				if stamp[u] == epoch {
-					su, fu = start[u], finish[u]
-				}
+				su, fu := start[u], finish[u]
 				if m[u] == d {
 					if sigma := k.inSigma[i]; sigma > 0 {
 						// Dataflow streaming: v may begin once u emits its
@@ -609,11 +582,7 @@ func (k *kernel) simOrder(st *simState, m []int, o int, i0 int, pre *batchPrefix
 		} else {
 			for i := lo; i < hi; i++ {
 				u := int(k.inFrom[i])
-				fu := preFinish[u]
-				if stamp[u] == epoch {
-					fu = finish[u]
-				}
-				if t := fu + k.transfer(m[u], d, k.inBytes[i]); t > ready {
+				if t := finish[u] + k.transfer(m[u], d, k.inBytes[i]); t > ready {
 					ready = t
 				}
 			}
@@ -637,7 +606,6 @@ func (k *kernel) simOrder(st *simState, m []int, o int, i0 int, pre *batchPrefix
 			fin = streamDrain
 		}
 		start[v], finish[v] = startT, fin
-		stamp[v] = epoch
 		if slot >= 0 {
 			free[slot] = fin
 		}
@@ -657,10 +625,11 @@ func (k *kernel) simOrder(st *simState, m []int, o int, i0 int, pre *batchPrefix
 
 // buildPrefix records the full (no early exit) simulation of base into
 // pre: per-order start/finish times plus per-position slot and makespan
-// checkpoints, via simOrder's record mode — the same placement loop that
-// later resumes from the recording, so the two cannot drift and resumed
-// suffixes continue bit-identically. Infeasibility of the base is
-// irrelevant here — the prefix only supplies the shared schedule state.
+// checkpoints, via simOrder's record mode, whose placement arithmetic
+// simOrderInc repeats operation for operation when it resumes from the
+// recording, so resumed suffixes continue bit-identically. Infeasibility
+// of the base is irrelevant here — the prefix only supplies the shared
+// schedule state.
 func (k *kernel) buildPrefix(st *simState, base []int, pre *batchPrefix) {
 	n, nd := k.n, k.nd
 	for o := 0; o < k.numOrders; o++ {
@@ -668,7 +637,7 @@ func (k *kernel) buildPrefix(st *simState, base []int, pre *batchPrefix) {
 		for v, d := range base {
 			row[v] = int32(d)
 		}
-		k.simOrder(st, base, o, 0, nil, math.Inf(1), pre)
+		k.simOrder(st, base, o, math.Inf(1), pre)
 		suf := pre.sufMax[o*(n+1) : (o+1)*(n+1)]
 		suf[n] = math.Inf(-1)
 		finish := pre.finish[o*n : (o+1)*n]
@@ -711,7 +680,7 @@ func (k *kernel) makespan(st *simState, m []int, cutoff float64) float64 {
 		if best < bound {
 			bound = best
 		}
-		ms, complete := k.simOrder(st, m, o, 0, nil, bound, nil)
+		ms, complete := k.simOrder(st, m, o, bound, nil)
 		if complete {
 			if ms < best {
 				best = ms
@@ -726,42 +695,5 @@ func (k *kernel) makespan(st *simState, m []int, cutoff float64) float64 {
 	// Every order aborted against the caller's cutoff; report the smallest
 	// partial makespan observed. It exceeds the cutoff by construction and
 	// lower-bounds the true makespan.
-	return minAbort
-}
-
-// makespanResume is makespan for a patched mapping m whose unpatched
-// base was recorded into pre: each order resumes at the first position
-// holding a patched task, replaying only the suffix. Exactness contract
-// as in makespan.
-func (k *kernel) makespanResume(st *simState, m []int, patch []graph.NodeID, pre *batchPrefix, cutoff float64) float64 {
-	if !k.feasible(st, m) {
-		return Infeasible
-	}
-	n := k.n
-	best := math.Inf(1)
-	minAbort := math.Inf(1)
-	for o := 0; o < k.numOrders; o++ {
-		bound := cutoff
-		if best < bound {
-			bound = best
-		}
-		i0 := n
-		for _, v := range patch {
-			if p := int(k.pos[o*n+int(v)]); p < i0 {
-				i0 = p
-			}
-		}
-		ms, complete := k.simOrder(st, m, o, i0, pre, bound, nil)
-		if complete {
-			if ms < best {
-				best = ms
-			}
-		} else if ms < minAbort {
-			minAbort = ms
-		}
-	}
-	if !math.IsInf(best, 1) {
-		return best
-	}
 	return minAbort
 }

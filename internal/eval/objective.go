@@ -31,7 +31,7 @@ type makespanObjective struct{}
 func (makespanObjective) Name() string { return "makespan" }
 
 func (makespanObjective) Batch(e *Engine, ops []Op, cutoff float64, out []float64) {
-	e.batchCore(ops, cutoff, out, nil)
+	e.batchCore(nil, ops, cutoff, out, nil)
 }
 
 // energyObjective is the exact compute energy (see Engine.Energy).
@@ -55,10 +55,12 @@ func EnergyObjective() Objective { return energyObjective{} }
 // the column-major result: cols[j][i] is objs[j]'s value of ops[i].
 // A makespan column obeys the cutoff contract of EvaluateBatch; when
 // both the makespan and the energy objective appear, their columns are
-// fused through one batch pass (the same pass EvaluateBatchMO runs, so
-// the pair (cols of [Makespan, Energy]) is bit-identical to the legacy
-// twin-slice API). The index alignment and determinism guarantees of
-// EvaluateBatch extend to every column.
+// fused through one batch pass: each energy is computed on the same
+// materialized mapping as its makespan at near-zero marginal cost (one
+// O(n) table scan against the O(orders x edges) simulation), stays
+// exact, and is Infeasible exactly when the makespan is. The index
+// alignment and determinism guarantees of EvaluateBatch extend to every
+// column.
 func (e *Engine) EvaluateBatchVec(ops []Op, objs []Objective, cutoff float64) [][]float64 {
 	cols := make([][]float64, len(objs))
 	for j := range cols {
@@ -79,9 +81,9 @@ func (e *Engine) EvaluateBatchVec(ops []Op, objs []Objective, cutoff float64) []
 	}
 	switch {
 	case msJ >= 0 && enJ >= 0:
-		e.batchCore(ops, cutoff, cols[msJ], cols[enJ])
+		e.batchCore(nil, ops, cutoff, cols[msJ], cols[enJ])
 	case msJ >= 0:
-		e.batchCore(ops, cutoff, cols[msJ], nil)
+		e.batchCore(nil, ops, cutoff, cols[msJ], nil)
 	case enJ >= 0:
 		e.energyBatch(ops, cols[enJ])
 	}

@@ -1,10 +1,9 @@
 package eval_test
 
 // Tests of the vector objective API: the regression guard pinning
-// EvaluateBatchVec's (makespan, energy) columns bit-identical to the
-// legacy EvaluateBatchMO twin-slice shim (satellite of the PR-9
-// objective-vector refactor — two-objective behaviour must be provably
-// unchanged), plus the objective registry.
+// EvaluateBatchVec's fused (makespan, energy) columns bit-identical to
+// EvaluateBatch and to the reference energy, plus the objective
+// registry.
 
 import (
 	"math"
@@ -20,13 +19,14 @@ import (
 	"spmap/internal/platform"
 )
 
-// TestEvaluateBatchVecMatchesMOShim is the two-objective regression
+// TestEvaluateBatchVecFusedColumns is the two-objective regression
 // guard: for every platform/graph pair, op mix (whole mappings, patches,
-// infeasible candidates) and cutoff, the vector path's makespan and
-// energy columns must be bit-identical to EvaluateBatchMO — in either
-// column order, and with or without an extra third objective riding
-// along.
-func TestEvaluateBatchVecMatchesMOShim(t *testing.T) {
+// infeasible candidates) and cutoff, the makespan column must be
+// bit-identical to EvaluateBatch and the energy column to
+// model.Evaluator.Energy of the materialized mapping — in either column
+// order, with an extra third objective riding along, and for
+// single-column calls.
+func TestEvaluateBatchVecFusedColumns(t *testing.T) {
 	objs := []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}
 	robust, err := eval.NewRobustObjective(eval.NoiseModel{Kind: eval.NoiseLognormal, DeviceSigma: 0.2, Seed: 3}, 3, 0.9, eval.RobustTail)
 	if err != nil {
@@ -48,22 +48,26 @@ func TestEvaluateBatchVecMatchesMOShim(t *testing.T) {
 				v := graph.NodeID(rng.Intn(g.NumTasks()))
 				ops = append(ops, eval.Op{Base: base, Patch: []graph.NodeID{v}, Device: rng.Intn(p.NumDevices())})
 			}
+			en := make([]float64, len(ops))
+			for i, op := range ops {
+				en[i] = ev.Energy(op.Base.Clone().Assign(op.Patch, op.Device))
+			}
 			incumbent := eng.Makespan(base)
 			cutoffs := []float64{math.Inf(1)}
 			if incumbent < eval.Infeasible {
 				cutoffs = append(cutoffs, incumbent, incumbent*0.7)
 			}
 			for _, cutoff := range cutoffs {
-				ms, en := eng.EvaluateBatchMO(ops, cutoff)
+				ms := eng.EvaluateBatch(ops, cutoff)
 				checkCols := func(label string, gotMS, gotEN []float64) {
 					t.Helper()
 					for i := range ops {
 						if math.Float64bits(gotMS[i]) != math.Float64bits(ms[i]) {
-							t.Fatalf("%s/%s %s cutoff %v op %d: makespan %v != MO shim %v",
+							t.Fatalf("%s/%s %s cutoff %v op %d: makespan %v != EvaluateBatch %v",
 								pname, gname, label, cutoff, i, gotMS[i], ms[i])
 						}
 						if math.Float64bits(gotEN[i]) != math.Float64bits(en[i]) {
-							t.Fatalf("%s/%s %s cutoff %v op %d: energy %v != MO shim %v",
+							t.Fatalf("%s/%s %s cutoff %v op %d: energy %v != reference %v",
 								pname, gname, label, cutoff, i, gotEN[i], en[i])
 						}
 					}
@@ -74,26 +78,10 @@ func TestEvaluateBatchVecMatchesMOShim(t *testing.T) {
 				checkCols("vec-swapped", swapped[1], swapped[0])
 				three := eng.EvaluateBatchVec(ops, []eval.Objective{objs[0], objs[1], robust}, cutoff)
 				checkCols("vec+robust", three[0], three[1])
-
-				// Single-column calls must agree with the fused pass.
+				// Single-column calls run the unfused passes.
 				msOnly := eng.EvaluateBatchVec(ops, objs[:1], cutoff)
-				for i := range ops {
-					above := ms[i] > cutoff && ms[i] < eval.Infeasible
-					if !above && math.Float64bits(msOnly[0][i]) != math.Float64bits(ms[i]) {
-						t.Fatalf("%s/%s ms-only cutoff %v op %d: %v != %v", pname, gname, cutoff, i, msOnly[0][i], ms[i])
-					}
-					// Above the cutoff both are certificates; they must
-					// agree on that classification.
-					if above && msOnly[0][i] <= cutoff {
-						t.Fatalf("%s/%s ms-only cutoff %v op %d: %v not above cutoff", pname, gname, cutoff, i, msOnly[0][i])
-					}
-				}
 				enOnly := eng.EvaluateBatchVec(ops, objs[1:2], cutoff)
-				for i := range ops {
-					if math.Float64bits(enOnly[0][i]) != math.Float64bits(en[i]) {
-						t.Fatalf("%s/%s en-only op %d: %v != %v", pname, gname, i, enOnly[0][i], en[i])
-					}
-				}
+				checkCols("single-column", msOnly[0], enOnly[0])
 			}
 		}
 	}

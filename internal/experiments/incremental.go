@@ -16,22 +16,18 @@ import (
 // The incremental experiment measures what the incremental evaluation
 // path exists for: local-search move throughput. One deterministic
 // first-improvement move sequence per graph size is replayed through
-// three evaluation strategies of the same engine —
+// the engine's two ways of scoring a move —
 //
-//   - full: every candidate replays every schedule order from position
-//     zero (the engine with both the prefix-resume and the incremental
-//     path disabled);
-//   - resume: candidates resume each order at the first patched
-//     position against a recorded prefix of the incumbent that every
-//     accepted move invalidates and re-records (PR 2's Neighborhood);
+//   - full: every candidate is materialized as a whole mapping and
+//     replays every schedule order from position zero (a whole-mapping
+//     evaluation never resumes from a recorded prefix);
 //   - incremental: the session path — fast-forwarded bounded replays
 //     against a persistent recording that accepted moves repair in
 //     place instead of re-recording (Engine.Incremental).
 //
-// The three strategies must return bit-identical values at or below the
-// cutoff and therefore accept exactly the same moves; the experiment
-// panics on any divergence, making every throughput row a correctness
-// check too. Reported throughput is candidate evaluations per second
+// Both must return bit-identical values at or below the cutoff and
+// therefore accept exactly the same moves; the experiment panics on any
+// divergence, making every throughput row a correctness check too. Reported throughput is candidate evaluations per second
 // including the cost of committing accepted moves.
 
 // IncrementalRow is one (graph size, strategy) measurement.
@@ -90,19 +86,18 @@ func IncrementalComparison(cfg Config) []IncrementalRow {
 			moves[i] = moveSeq{patch: patch, device: rng.Intn(nd)}
 		}
 
+		eng := ev.Engine().WithWorkers(1)
 		type result struct {
 			accepted int
 			final    float64
-			vals     []float64
 		}
 		run := func(mode string, base mapping.Mapping, evalMove func(base mapping.Mapping, mv moveSeq, cutoff float64) float64,
 			apply func(base mapping.Mapping, mv moveSeq)) (IncrementalRow, result) {
-			cur := ev.Engine().Makespan(base)
-			res := result{vals: make([]float64, len(moves))}
+			cur := eng.Makespan(base)
+			var res result
 			t0 := time.Now()
-			for i, mv := range moves {
+			for _, mv := range moves {
 				val := evalMove(base, mv, cur)
-				res.vals[i] = val
 				if val < cur {
 					apply(base, mv)
 					cur = val
@@ -121,36 +116,19 @@ func IncrementalComparison(cfg Config) []IncrementalRow {
 			return row, res
 		}
 
-		// Full replay: no prefix recording, no incremental path. The
-		// candidate is materialized and simulated from scratch.
-		fullEng := ev.Engine().WithWorkers(1).WithIncremental(false)
-		scratch := mapping.Baseline(g, p)
+		// Full replay: the candidate is materialized and simulated from an
+		// empty schedule.
+		cand := mapping.Baseline(g, p)
 		fullRow, fullRes := run("full", mapping.Baseline(g, p),
 			func(base mapping.Mapping, mv moveSeq, cutoff float64) float64 {
-				copy(scratch, base)
-				scratch.Assign(mv.patch, mv.device)
-				return fullEng.MakespanCutoff(scratch, cutoff)
+				copy(cand, base)
+				cand.Assign(mv.patch, mv.device)
+				return eng.MakespanCutoff(cand, cutoff)
 			},
 			func(base mapping.Mapping, mv moveSeq) { base.Assign(mv.patch, mv.device) })
 
-		// Prefix resume: the pre-incremental fast path. Accepted moves
-		// invalidate the recorded prefix, which is re-recorded lazily.
-		resumeEng := ev.Engine().WithWorkers(1).WithIncremental(false)
-		resBase := mapping.Baseline(g, p)
-		nb := resumeEng.Neighborhood(resBase)
-		resumeRow, resumeRes := run("resume", resBase,
-			func(base mapping.Mapping, mv moveSeq, cutoff float64) float64 {
-				return nb.Evaluate(mv.patch, mv.device, cutoff)
-			},
-			func(base mapping.Mapping, mv moveSeq) {
-				base.Assign(mv.patch, mv.device)
-				nb.Reset()
-			})
-		nb.Close()
-
 		// Incremental session: persistent recording, in-place repair.
-		incEng := ev.Engine().WithWorkers(1)
-		inc := incEng.Incremental(mapping.Baseline(g, p), nil)
+		inc := eng.Incremental(mapping.Baseline(g, p), nil)
 		incRow, incRes := run("incremental", mapping.Baseline(g, p),
 			func(base mapping.Mapping, mv moveSeq, cutoff float64) float64 {
 				return inc.Evaluate(mv.patch, mv.device, cutoff)
@@ -159,21 +137,18 @@ func IncrementalComparison(cfg Config) []IncrementalRow {
 		inc.Close()
 
 		// Differential gate: identical decisions and bit-identical exact
-		// values, or the run is worthless as a benchmark.
-		for _, r := range []result{resumeRes, incRes} {
-			if r.accepted != fullRes.accepted || r.final != fullRes.final {
-				panic(fmt.Sprintf("incremental experiment: mode diverged at n=%d: accepted %d/%d final %v/%v",
-					n, r.accepted, fullRes.accepted, r.final, fullRes.final))
-			}
+		// values, or the run is worthless as a benchmark. Session values
+		// above the cutoff are certified lower bounds, not exact
+		// makespans, so only sub-cutoff values are comparable — the
+		// accepted/final check covers those.
+		if incRes.accepted != fullRes.accepted || incRes.final != fullRes.final {
+			panic(fmt.Sprintf("incremental experiment: mode diverged at n=%d: accepted %d/%d final %v/%v",
+				n, incRes.accepted, fullRes.accepted, incRes.final, fullRes.final))
 		}
-		// NOTE: resumeRes/incRes values above the cutoff are certified
-		// lower bounds, not exact makespans, so only sub-cutoff values
-		// are comparable — the accepted/final check above covers those.
 
 		fullRow.SpeedupVsFull = 1
-		resumeRow.SpeedupVsFull = fullRow.TimeMS / resumeRow.TimeMS
 		incRow.SpeedupVsFull = fullRow.TimeMS / incRow.TimeMS
-		rows = append(rows, fullRow, resumeRow, incRow)
+		rows = append(rows, fullRow, incRow)
 	}
 	return rows
 }

@@ -86,11 +86,13 @@ type Options struct {
 	// return model.Infeasible for infeasible mappings; the multi-objective
 	// extension (energy, EDP, weighted scalarizations) plugs in here.
 	Objective model.Objective
-	// Workers bounds the evaluation engine's worker pool for Basic's
-	// batched operation re-evaluation (0 selects GOMAXPROCS, 1 forces
+	// Workers bounds the evaluation engine's worker pool for the batched
+	// operation evaluations — every iteration of Basic, and the seeding
+	// pass of GammaThreshold/FirstFit (0 selects GOMAXPROCS, 1 forces
 	// serial). The result is identical for any value — the batch API
 	// returns index-aligned results and the reduction is deterministic.
-	// GammaThreshold/FirstFit are inherently sequential and ignore this.
+	// The GammaThreshold/FirstFit look-ahead loop is inherently
+	// sequential.
 	Workers int
 }
 
@@ -169,13 +171,14 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats,
 		}
 	}
 
-	// nb is the engine evaluation session around the incumbent mapping,
-	// assigned by the GammaThreshold/FirstFit branch when the objective
-	// is the default makespan; it amortizes the shared simulation prefix
-	// across the sequential candidate evaluations of an iteration. Basic
-	// evaluates whole batches instead, and custom objectives evaluate
-	// through their closure.
-	var nb *eval.Neighborhood
+	// inc is the incremental evaluation session around the incumbent
+	// mapping, opened by the GammaThreshold/FirstFit branch when the
+	// objective is the default makespan: its recording of the incumbent
+	// serves the sequential candidate evaluations and is repaired in
+	// place, not re-recorded, when a move is applied. Basic evaluates
+	// whole batches instead, and custom objectives evaluate through their
+	// closure.
+	var inc *eval.Incremental
 
 	// evalOp measures applying op o to the incumbent. It returns the
 	// absolute improvement over `best` (negative when worse).
@@ -186,8 +189,8 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats,
 		}
 		stats.Evaluations++
 		var ms float64
-		if nb != nil {
-			ms = nb.Evaluate(o.sg, o.dev, math.Inf(1))
+		if inc != nil {
+			ms = inc.Evaluate(o.sg, o.dev, math.Inf(1))
 		} else {
 			saved = saved[:0]
 			for _, v := range o.sg {
@@ -208,10 +211,15 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats,
 		for _, v := range o.sg {
 			m[v] = o.dev
 		}
-		if nb != nil {
-			nb.Reset() // the incumbent changed; the recorded prefix is stale
+		if inc != nil {
+			// Read off the repaired recording; it still counts as the
+			// evaluation cost(m) is, so Stats.Evaluations (which the
+			// portfolio's budget accounting reads) matches either path.
+			inc.Apply(o.sg, o.dev)
+			best = inc.Makespan()
+		} else {
+			best = cost(m)
 		}
-		best = cost(m)
 		stats.Evaluations++
 		stats.Iterations++
 	}
@@ -265,12 +273,15 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats,
 		// refreshed whenever an operation is re-evaluated (§III-D). With
 		// the default objective the seeding pass runs as one parallel
 		// batch (exact evaluations, so the values match the serial scan);
-		// the look-ahead loop below is inherently sequential.
+		// the look-ahead loop below is inherently sequential and runs on
+		// the session, opened only after the batch has handed its prefix
+		// recording back to the engine pool so the two share one buffer.
+		// The infinite cutoff keeps every re-evaluated expectation exact.
 		var expected []float64
 		if opt.Objective == nil {
-			nb = ev.Engine().Neighborhood(m)
-			defer nb.Close()
 			expected = batchDeltas(batchEngine(ev, opt), ops, m, best, math.Inf(1), &stats)
+			inc = ev.Engine().Incremental(m, nil)
+			defer inc.Close()
 		} else {
 			expected = make([]float64, len(ops))
 			for i := range ops {

@@ -257,9 +257,8 @@ func search(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats, error) {
 		wt:  opt.WTime, we: opt.WEnergy,
 	}
 	if s.mo {
-		// The weighted scalarization over the vector objective API; the
-		// fused [makespan, energy] pass is bit-identical to the legacy
-		// EvaluateBatchMO twin-slice path.
+		// The weighted scalarization over the vector objective API: the
+		// [makespan, energy] pair runs as one fused batch pass.
 		s.objs = []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}
 	}
 	if opt.Workers > 0 {

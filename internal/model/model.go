@@ -332,15 +332,6 @@ func (e *Evaluator) Makespan(m mapping.Mapping) float64 {
 	return e.Engine().Makespan(m)
 }
 
-// MakespanCutoff is Makespan with bounded early exit against the caller's
-// cutoff: the result is exact when <= cutoff, otherwise it is only a
-// certificate (and lower bound) that the makespan exceeds the cutoff.
-// Search loops pass their incumbent to reject non-improving candidates
-// cheaply.
-func (e *Evaluator) MakespanCutoff(m mapping.Mapping, cutoff float64) float64 {
-	return e.Engine().MakespanCutoff(m, cutoff)
-}
-
 // ReferenceMakespan computes Makespan with the retained straightforward
 // per-order simulation (no kernel, no early exit). It exists as the
 // cross-check oracle for the compiled engine and for schedule inspection;

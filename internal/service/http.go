@@ -619,11 +619,11 @@ func (s *Service) handleEvaluate(ctx context.Context, body []byte, t *Timing, si
 	eng := in.coal.WithBatchTiming(sink)
 	resp := &evaluateResponse{ID: rq.ID, Instance: in.key, wantTiming: rq.Timing}
 	if rq.Energy {
-		// The MO path computes exact energies alongside; cutoffs only
-		// clamp makespans.
-		var ms []float64
-		ms, resp.Energies = eng.EvaluateBatchMO(ops, cutoff)
-		resp.Makespans = clampCutoff(ms, cutoff)
+		// The fused vector pass computes exact energies alongside;
+		// cutoffs only clamp makespans.
+		cols := eng.EvaluateBatchVec(ops, []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}, cutoff)
+		resp.Makespans = clampCutoff(cols[0], cutoff)
+		resp.Energies = cols[1]
 		return resp, nil
 	}
 	out, err := eng.EvaluateBatchCtx(ctx, ops, cutoff)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,9 @@ import (
 
 	"spmap/internal/gen"
 	"spmap/internal/graph"
+	"spmap/internal/mapping"
+	"spmap/internal/model"
+	"spmap/internal/platform"
 	"spmap/internal/wf"
 )
 
@@ -297,6 +301,78 @@ func TestEvaluatePatchForm(t *testing.T) {
 		if *r.Makespans[i] != *w.Makespans[i] {
 			t.Fatalf("move %d: patch form %v != whole mapping %v", i, *r.Makespans[i], *w.Makespans[i])
 		}
+	}
+}
+
+// TestEvaluatePatchFormEnergyCutoff pins the patch-form energy branch
+// under a finite cutoff against an independently compiled evaluator:
+// every served energy must be bit-identical to Evaluator.Energy of the
+// materialized candidate, every makespan at or below the cutoff to
+// ReferenceMakespan, and every candidate above the cutoff must be null.
+func TestEvaluatePatchFormEnergyCutoff(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	gj := testGraphJSON(t, 30, 41)
+	var g graph.DAG
+	if err := json.Unmarshal(gj, &g); err != nil {
+		t.Fatal(err)
+	}
+	p := platform.Reference()
+	ev := model.NewEvaluator(&g, p).WithSchedules(20, 3)
+	n, nd := g.NumTasks(), p.NumDevices()
+	base := mapping.Baseline(&g, p)
+	var moves []map[string]any
+	var cands []mapping.Mapping
+	addMove := func(tasks []int, dev int) {
+		moves = append(moves, map[string]any{"tasks": tasks, "device": dev})
+		m := base.Clone()
+		for _, v := range tasks {
+			m[v] = dev
+		}
+		cands = append(cands, m)
+	}
+	for v := 0; v < n; v++ {
+		for d := 0; d < nd; d++ {
+			addMove([]int{v}, d)
+		}
+		if v+1 < n {
+			addMove([]int{v, v + 1}, v%nd)
+		}
+	}
+	cutoff := ev.ReferenceMakespan(base)
+	status, body := post(t, ts, "/v1/evaluate", map[string]any{
+		"graph": gj, "base": base, "moves": moves, "schedules": 20, "seed": 3,
+		"energy": true, "cutoff": cutoff,
+	})
+	if status != 200 {
+		t.Fatalf("patch-form energy: %d %s", status, body)
+	}
+	var r evaluateResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Makespans) != len(cands) || len(r.Energies) != len(cands) {
+		t.Fatalf("%d makespans, %d energies, want %d each", len(r.Makespans), len(r.Energies), len(cands))
+	}
+	below, above := 0, 0
+	for i, m := range cands {
+		if got, want := r.Energies[i], ev.Energy(m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("move %d: energy %v != reference %v", i, got, want)
+		}
+		exact := ev.ReferenceMakespan(m)
+		if exact <= cutoff {
+			below++
+			if r.Makespans[i] == nil || math.Float64bits(*r.Makespans[i]) != math.Float64bits(exact) {
+				t.Fatalf("move %d: makespan %v != reference %v (cutoff %v)", i, r.Makespans[i], exact, cutoff)
+			}
+			continue
+		}
+		above++
+		if r.Makespans[i] != nil {
+			t.Fatalf("move %d: over-cutoff makespan %v served (reference %v, cutoff %v)", i, *r.Makespans[i], exact, cutoff)
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("cutoff %v does not split the candidates: %d at or below, %d above", cutoff, below, above)
 	}
 }
 

@@ -93,15 +93,18 @@
 // (MapGenetic, MapLocalSearch, Refine) is reproducible: a fixed Seed
 // yields an identical mapping and stats for any Workers value.
 //
-// Single-objective local search additionally evaluates through
-// Engine.Incremental (package eval): a long-lived session that records
-// the incumbent's simulation once and then serves each candidate move
-// in O(changed window) — capacity lower bounds, resumed replays with
-// fast-forward reconvergence, and lazy in-place repair on accepted
-// moves — with results bit-identical to Engine.Makespan on the
-// materialized mapping and zero steady-state allocations. This is an
-// engine-internal fast path: it changes no spmap-level API or result,
-// only the wall-clock cost of MapLocalSearch, Refine and the repair
+// Single-objective local search and the GammaThreshold/FirstFit
+// look-ahead loop of the decomposition mappers additionally evaluate
+// through Engine.Incremental (package eval): a long-lived session that
+// records the incumbent's simulation once and then serves each
+// candidate move in O(changed window) — capacity lower bounds, resumed
+// replays with fast-forward reconvergence, and lazy in-place repair on
+// accepted moves — with results bit-identical to Engine.Makespan on the
+// materialized mapping and zero steady-state allocations. Batches and
+// sessions are the engine's only two ways of scoring a candidate. The
+// session is an engine-internal fast path: it changes no spmap-level
+// API or result, only the wall-clock cost of MapLocalSearch, Refine,
+// the SP/single-node FirstFit and GammaThreshold mappers and the repair
 // passes built on them.
 package spmap
 
