@@ -6,7 +6,9 @@ package eval_test
 // mapping and a random schedule set, and the engine must reproduce
 // model.Evaluator.ReferenceMakespan bit-for-bit — serially, batched
 // over 1 and 4 workers, with and without a finite cutoff, and on the
-// patched prefix-resume path.
+// patched prefix-resume path. The payload's last byte picks the platform:
+// the reference one or a variant with multi-slot CPU and GPU (see
+// eval.SlotPlatforms).
 
 import (
 	"math"
@@ -17,7 +19,6 @@ import (
 	"spmap/internal/graph"
 	"spmap/internal/mapping"
 	"spmap/internal/model"
-	"spmap/internal/platform"
 )
 
 // fuzzInstance decodes (graph, mapping, schedule seed) from the fuzz
@@ -64,9 +65,13 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 3, 0, 1, 1, 2, 0, 3})
 	f.Add([]byte{15, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2})
 	f.Add([]byte{3, 0, 0, 0, 2, 0, 1, 1, 2, 9, 9})
-	p := platform.Reference()
-	nd := p.NumDevices()
+	plats := eval.SlotPlatforms()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		p := plats[0]
+		if len(data) > 0 {
+			p = plats[int(data[len(data)-1])%len(plats)]
+		}
+		nd := p.NumDevices()
 		g, m, seed := fuzzInstance(data, nd)
 		if err := g.Validate(); err != nil {
 			t.Skip() // duplicate edges from the byte stream

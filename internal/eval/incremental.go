@@ -25,9 +25,11 @@ import (
 // bit-identical to the reference simulation in general. The recorded
 // per-position schedule state sidesteps this: a resumed simulation that
 // (a) has placed every task that can still observe the mutation through
-// a data edge and (b) reaches a position where the device-slot next-free
-// times bit-equal the recording's checkpoint will, by induction over the
-// identical placement arithmetic, reproduce the recorded suffix exactly.
+// a data edge and (b) reaches a position where every device holds the
+// same multiset of slot next-free times as the recording's checkpoint
+// will, by induction over the identical placement arithmetic, reproduce
+// the recorded suffix exactly (placement reads a device's slots only
+// through that multiset; see placeSlot).
 // Its final makespan is then max(running makespan, memoized suffix
 // contribution) — no replay needed. The SP decomposition forest decides
 // WHICH moves take this path (see sp.Index and the localsearch wiring):
@@ -56,9 +58,11 @@ import (
 // per Apply-rebuilt sufLoad row — orders of magnitude below 1e-9.
 const loadSlack = 1 - 1e-9
 
-// slotsEqual reports bit-equality of two slot next-free vectors. NaN
-// entries (which cannot legitimately occur) compare unequal and thereby
-// disable the fast-forward on the safe side.
+// slotsEqual reports equality of two slot next-free vectors. Both keep
+// every device's segment ascending, so this is equality of each device's
+// multiset of next-free times. NaN entries (which cannot legitimately
+// occur) compare unequal and thereby disable the fast-forward on the
+// safe side.
 func slotsEqual(a, b []float64) bool {
 	for i, x := range a {
 		if x != b[i] {
@@ -79,50 +83,21 @@ func inPatch(patch []graph.NodeID, v int) bool {
 	return false
 }
 
-// insertSortSmall sorts a tiny slice ascending (device slot counts are
-// single digits; insertion sort beats sort.Float64s with zero
-// allocation and no interface boxing).
-func insertSortSmall(a []float64) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
-}
-
 // slotGap returns how far slot state a lags behind slot state b: the
 // smallest E >= 0 such that, after pairing each device's interchangeable
 // slots best-case (sorted elementwise — slots of one device are
 // fungible), every a-slot's next-free time is within E below its
-// b-slot's. 0 means a dominates b outright. Spatial devices hold no
-// slots and never contribute. NaN entries (which cannot legitimately
-// occur) poison the gap rather than shrink it, disabling the abort on
-// the safe side.
-func (k *kernel) slotGap(st *simState, a, b []float64) float64 {
+// b-slot's. 0 means a dominates b outright. Both states keep every
+// device's segment ascending (see placeSlot), so the best-case pairing is
+// position by position and the gap is one pass over the flat vectors;
+// spatial devices hold no slots and never contribute. NaN entries (which
+// cannot legitimately occur) poison the gap rather than shrink it,
+// disabling the abort on the safe side.
+func slotGap(a, b []float64) float64 {
 	gap := 0.0
-	for d := 0; d < k.nd; d++ {
-		lo, hi := int(k.slotStart[d]), int(k.slotStart[d+1])
-		switch hi - lo {
-		case 0:
-		case 1:
-			if x := b[lo] - a[lo]; !(x <= gap) {
-				gap = x
-			}
-		default:
-			sa, sb := st.sortA[:hi-lo], st.sortB[:hi-lo]
-			copy(sa, a[lo:hi])
-			copy(sb, b[lo:hi])
-			insertSortSmall(sa)
-			insertSortSmall(sb)
-			for i, x := range sa {
-				if y := sb[i] - x; !(y <= gap) {
-					gap = y
-				}
-			}
+	for i, x := range a {
+		if y := b[i] - x; !(y <= gap) {
+			gap = y
 		}
 	}
 	return gap
@@ -238,9 +213,11 @@ func (k *kernel) readerShift(m []int, o, v, od, dv int, recS, recF, newS, newF f
 // early through two mechanisms.
 //
 // Fast-forward: once past the dirty-path barrier, a position whose
-// device-slot state bit-equals the recording's checkpoint proves every
-// remaining placement reproduces the recording exactly, so the order's
-// final makespan is max(running makespan, pre.sufMax at that position).
+// per-device multisets of slot next-free times equal the recording's
+// checkpoint (both kept as ascending segments, so one elementwise
+// comparison decides it) proves every remaining placement reproduces
+// the recording exactly, so the order's final makespan is
+// max(running makespan, pre.sufMax at that position).
 // The barrier starts at the caller's static bound (patchWindow; n
 // disables fast-forward entirely) and is raised dynamically whenever a
 // replayed task's times diverge from the recording, covering knock-on
@@ -276,9 +253,12 @@ func (k *kernel) readerShift(m []int, o, v, od, dv int, recS, recF, newS, newF f
 // against float rounding, still exceeds the caller's bound, the order
 // aborts with it: for rejected candidates this typically fires at the
 // first position past the last patched one, with E = 0 degenerating to
-// plain one-sided dominance. sufMax is non-increasing along the order,
-// so once even the E = 0 form dips to the bound the check is disabled
-// for the rest of the replay.
+// plain one-sided dominance. The check is monotone: sufMax never rises
+// along the order, pert never falls, delta is fixed and slotGap only
+// adds to E. So it is armed only if sufMax at pmax+1 clears the bound,
+// and disarmed for the rest of the replay as soon as sufMax -
+// max(pert, delta) fails to; slotGap runs only while it can still
+// decide an abort.
 //
 // Every placement executes the identical floating-point sequence as
 // simOrder, so completed results are bit-identical to a full replay; the
@@ -309,8 +289,8 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 				continue // spatial device: no slot capacity to bound
 			}
 			sum := 0.0
-			for s := int(k.slotStart[d]); s < int(k.slotStart[d+1]); s++ {
-				sum += st.free[s]
+			for _, f := range st.free[k.slotStart[d]:k.slotStart[d+1]] {
+				sum += f
 			}
 			freeSum[d] = sum
 			if x := (sum + load[d]) * inv * loadSlack; x > lb {
@@ -328,11 +308,13 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 	start, finish, free := st.start, st.finish, st.free
 	order := k.orders[o*n : (o+1)*n]
 	skip := n
-	// The dominance abort arms once every patched task is placed
-	// (pi > pmax). pert accumulates the worst backward divergence of
-	// replayed unpatched tasks; delta (computed lazily, once) bounds the
-	// backward shift of the patched tasks' still-unplaced readers.
-	dom := lbOn && pmax < n
+	// The dominance abort checks once every patched task is placed
+	// (pi > pmax), and only if it could fire there: its value never
+	// exceeds sufMax at pmax+1. pert accumulates the worst backward
+	// divergence of replayed unpatched tasks; delta (computed lazily,
+	// once) bounds the backward shift of the patched tasks' still-unplaced
+	// readers.
+	dom := lbOn && pmax < n && pre.sufMax[o*(n+1)+pmax+1]*loadSlack > bound
 	pert := 0.0
 	delta, deltaOK := 0.0, false
 	for pi := r; pi < n; pi++ {
@@ -342,23 +324,23 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 			break
 		}
 		if dom && pi > pmax {
-			if sm := pre.sufMax[o*(n+1)+pi]; sm*loadSlack > bound {
-				if !deltaOK {
-					delta = k.readerDelta(st, m, o, pi, patch, pre)
-					deltaOK = true
-				}
-				e := pert
-				if delta > e {
-					e = delta
-				}
-				if g := k.slotGap(st, free, ck); g > e {
+			if !deltaOK {
+				delta = k.readerDelta(st, m, o, pi, patch, pre)
+				deltaOK = true
+			}
+			sm, e := pre.sufMax[o*(n+1)+pi], pert
+			if delta > e {
+				e = delta
+			}
+			if (sm-e)*loadSlack <= bound {
+				dom = false // monotone: it cannot fire from here on
+			} else {
+				if g := slotGap(free, ck); g > e {
 					e = g
 				}
 				if lb := (sm - e) * loadSlack; lb > bound {
 					return lb, false
 				}
-			} else {
-				dom = false
 			}
 		}
 		v := int(order[pi])
@@ -405,17 +387,9 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 			}
 		}
 		startT := ready
-		slot := -1
-		if !k.devSpatial[d] {
-			slot = int(k.slotStart[d])
-			for s := slot + 1; s < int(k.slotStart[d+1]); s++ {
-				if free[s] < free[slot] {
-					slot = s
-				}
-			}
-			if free[slot] > startT {
-				startT = free[slot]
-			}
+		s0, s1 := k.slotStart[d], k.slotStart[d+1]
+		if s0 < s1 && free[s0] > startT {
+			startT = free[s0]
 		}
 		fin := startT + execD[v]
 		if streamDrain > fin {
@@ -435,7 +409,7 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 		// task's effect on its readers is bounded by readerDelta and its
 		// slot footprint by slotGap.
 		if startT != preStart[v] || fin != preFinish[v] {
-			if dom && !inPatch(patch, v) {
+			if dom && st.patchMark[v] != st.patchEpoch {
 				if x := preStart[v] - startT; x > pert {
 					pert = x
 				}
@@ -449,17 +423,17 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 		}
 		start[v], finish[v] = startT, fin
 		stamp[v] = epoch
-		if slot >= 0 {
+		if s0 < s1 {
 			if lbOn {
 				// O(1) capacity recheck: only the placed device's slot sum
 				// and remaining load moved (fin >= the slot's old free time).
-				st.freeSum[d] += fin - free[slot]
+				st.freeSum[d] += fin - free[s0]
 				st.load[d] -= execD[v]
 				if x := (st.freeSum[d] + st.load[d]) * k.invSlots[d] * loadSlack; x > bound {
 					return x, false
 				}
 			}
-			free[slot] = fin
+			placeSlot(free[s0:s1], fin)
 		}
 		if fin > makespan {
 			makespan = fin
@@ -548,17 +522,9 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 			}
 		}
 		startT := ready
-		slot := -1
-		if !k.devSpatial[d] {
-			slot = int(k.slotStart[d])
-			for s := slot + 1; s < int(k.slotStart[d+1]); s++ {
-				if free[s] < free[slot] {
-					slot = s
-				}
-			}
-			if free[slot] > startT {
-				startT = free[slot]
-			}
+		s0, s1 := k.slotStart[d], k.slotStart[d+1]
+		if s0 < s1 && free[s0] > startT {
+			startT = free[s0]
 		}
 		fin := startT + execD[v]
 		if streamDrain > fin {
@@ -572,8 +538,8 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 			}
 		}
 		preStart[v], preFinish[v] = startT, fin
-		if slot >= 0 {
-			free[slot] = fin
+		if s0 < s1 {
+			placeSlot(free[s0:s1], fin)
 		}
 		if fin > makespan {
 			makespan = fin
@@ -728,18 +694,11 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 			if k.invSlots[od] != 0 {
 				// Slot release: v's departure reverts its old slot's next-
 				// free time from recF[v] to whatever it was before v was
-				// placed — the argmin of od's slots in the checkpoint at
+				// placed — the head of od's segment in the checkpoint at
 				// v's position. The advance includes any idle gap v's data
 				// dependences forced, not just its execution time.
 				p := int(k.pos[o*n+v])
-				ck := pre.freeCkpt[(o*n+p)*k.numSlots : (o*n+p+1)*k.numSlots]
-				minf := math.Inf(1)
-				for s := k.slotStart[od]; s < k.slotStart[od+1]; s++ {
-					if ck[s] < minf {
-						minf = ck[s]
-					}
-				}
-				adv := preF[v] - minf
+				adv := preF[v] - pre.freeCkpt[(o*n+p)*k.numSlots+int(k.slotStart[od])]
 				rel[od] += adv
 				eprefix += adv
 			}
@@ -853,7 +812,10 @@ func (k *kernel) applyOrder(st *simState, base []int, o int, tasks []graph.NodeI
 // patches. Results are bit-identical to makespan under the same
 // contract: the returned value is the exact schedule-set minimum
 // whenever it is <= cutoff, and otherwise both exceeds the cutoff and
-// lower-bounds the true makespan.
+// lower-bounds the true makespan. Orders are visited smallest recorded
+// makespan first (then in index order), which tightens every later
+// order's bound; only the value of an over-cutoff certificate depends on
+// the visiting order.
 //
 // The aggregation differs slightly from makespan's because a fast-
 // forwarded order completes with its exact makespan even when that
@@ -918,9 +880,29 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 			return lb
 		}
 	}
+	st.patchEpoch++
+	for _, v := range patch {
+		st.patchMark[v] = st.patchEpoch
+	}
+	// Visit the order with the smallest recorded makespan first, then the
+	// rest in index order: a candidate's best order is usually the base's,
+	// and completing it first hands every later order a bound close to the
+	// candidate's minimum.
+	first := 0
+	for o := 1; o < k.numOrders; o++ {
+		if pre.sufMax[o*(n+1)] < pre.sufMax[first*(n+1)] {
+			first = o
+		}
+	}
 	best := math.Inf(1)
 	minAbort := math.Inf(1)
-	for o := 0; o < k.numOrders; o++ {
+	for j := 0; j < k.numOrders; j++ {
+		o := j - 1 // visit j: first, then 0..first-1, then first+1..
+		if j == 0 {
+			o = first
+		} else if j > first {
+			o = j
+		}
 		bound := cutoff
 		if best < bound {
 			bound = best

@@ -6,7 +6,9 @@ package eval
 // preLB soundness against exact per-order makespans, and the session
 // replay (makespanInc with pending lazy-apply lists) against full
 // simulation, with a tiny fold capacity so the applyOrder rebase path
-// runs constantly instead of once per pendCap=24 accepted moves.
+// runs constantly instead of once per pendCap=24 accepted moves, and
+// every folded recording against a fresh one. Both probes run on each of
+// slotPlatforms.
 
 import (
 	"math"
@@ -17,9 +19,23 @@ import (
 	"spmap/internal/platform"
 )
 
+// slotPlatforms returns the probes' platforms: the reference platform,
+// whose 4-slot CPU is its only multi-slot device, and a variant with a
+// 3-slot CPU, a 2-slot GPU and the spatial FPGA, on which two devices
+// keep sorted slot segments and slots of both can tie.
+func slotPlatforms() []*platform.Platform {
+	multi := platform.Reference()
+	multi.Devices[0].Slots = 3
+	multi.Devices[1].Slots = 2
+	return []*platform.Platform{platform.Reference(), multi}
+}
+
+// SlotPlatforms exports slotPlatforms to the external fuzz tests.
+var SlotPlatforms = slotPlatforms
+
 // wboxInstance builds a random DAG, kernel, base mapping and recorded
-// prefix for the probes.
-func wboxInstance(rng *rand.Rand, nMin, nSpan int) (k *kernel, st *simState, pre *batchPrefix, base []int, n, nd int) {
+// prefix on platform p for the probes.
+func wboxInstance(rng *rand.Rand, p *platform.Platform, nMin, nSpan int) (k *kernel, st *simState, pre *batchPrefix, base []int, n, nd int) {
 	n = nMin + rng.Intn(nSpan)
 	g := graph.New(n, 0)
 	for v := 0; v < n; v++ {
@@ -37,7 +53,6 @@ func wboxInstance(rng *rand.Rand, nMin, nSpan int) (k *kernel, st *simState, pre
 			g.AddEdge(graph.NodeID(u), graph.NodeID(v), float64(1+rng.Intn(10))*1e6)
 		}
 	}
-	p := platform.Reference()
 	nd = len(p.Devices)
 	orders := [][]graph.NodeID{g.BFSOrder(), g.RandomTopoOrder(rng.Intn)}
 	k = compile(g, p, orders)
@@ -56,33 +71,35 @@ func wboxInstance(rng *rand.Rand, nMin, nSpan int) (k *kernel, st *simState, pre
 // candidate — neither unbounded nor with a finite bound argument (which
 // only licenses early exits, never overshoot).
 func TestPreLBSoundness(t *testing.T) {
-	for trial := 0; trial < 3000; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		k, st, pre, base, n, nd := wboxInstance(rng, 3, 18)
-		np := 1 + rng.Intn(6)
-		if np > n {
-			np = n
-		}
-		seen := map[int]bool{}
-		var patch []graph.NodeID
-		m := append([]int(nil), base...)
-		for len(patch) < np {
-			v := rng.Intn(n)
-			if seen[v] {
-				continue
+	for pi, p := range slotPlatforms() {
+		for trial := 0; trial < 3000; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			k, st, pre, base, n, nd := wboxInstance(rng, p, 3, 18)
+			np := 1 + rng.Intn(6)
+			if np > n {
+				np = n
 			}
-			seen[v] = true
-			patch = append(patch, graph.NodeID(v))
-			m[v] = rng.Intn(nd)
-		}
-		st2 := k.newState()
-		for o := 0; o < k.numOrders; o++ {
-			lb := k.preLB(st, m, o, patch, pre, math.Inf(1))
-			exact, _ := k.simOrder(st2, m, o, 1e308, nil)
-			lb2 := k.preLB(st, m, o, patch, pre, exact*(0.2+1.6*rng.Float64()))
-			if lb > exact || lb2 > exact {
-				t.Fatalf("trial %d order %d: preLB %.17g / bounded %.17g > exact %.17g\nn=%d base=%v m=%v patch=%v",
-					trial, o, lb, lb2, exact, n, base, m, patch)
+			seen := map[int]bool{}
+			var patch []graph.NodeID
+			m := append([]int(nil), base...)
+			for len(patch) < np {
+				v := rng.Intn(n)
+				if seen[v] {
+					continue
+				}
+				seen[v] = true
+				patch = append(patch, graph.NodeID(v))
+				m[v] = rng.Intn(nd)
+			}
+			st2 := k.newState()
+			for o := 0; o < k.numOrders; o++ {
+				lb := k.preLB(st, m, o, patch, pre, math.Inf(1))
+				exact, _ := k.simOrder(st2, m, o, 1e308, nil)
+				lb2 := k.preLB(st, m, o, patch, pre, exact*(0.2+1.6*rng.Float64()))
+				if lb > exact || lb2 > exact {
+					t.Fatalf("platform %d trial %d order %d: preLB %.17g / bounded %.17g > exact %.17g\nn=%d base=%v m=%v patch=%v",
+						pi, trial, o, lb, lb2, exact, n, base, m, patch)
+				}
 			}
 		}
 	}
@@ -93,70 +110,150 @@ func TestPreLBSoundness(t *testing.T) {
 // random move sequences constantly exercise the applyOrder windowed
 // rebase, the composed-patch stale resume and the fold-before-update
 // ordering — each Evaluate must satisfy the cutoff contract against a
-// full fresh simulation.
+// full fresh simulation, and after every fold each order without
+// pending moves must hold exactly the recording a fresh buildPrefix of
+// the current base writes (rebaseOrder's promise).
 func TestSessionReplayExact(t *testing.T) {
 	const foldCap = 7
-	for trial := 0; trial < 1000; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		k, st, pre, base, n, nd := wboxInstance(rng, 3, 24)
-		pend := make([][]graph.NodeID, k.numOrders)
-		st2 := k.newState()
-		for step := 0; step < 30; step++ {
-			np := 1 + rng.Intn(3)
-			if np > n {
-				np = n
-			}
-			var patch []graph.NodeID
-			dev := rng.Intn(nd)
-			m := append([]int(nil), base...)
-			for len(patch) < np {
-				v := rng.Intn(n)
-				if inPatch(patch, v) {
-					continue
+	folds := 0
+	for pi, p := range slotPlatforms() {
+		for trial := 0; trial < 1000; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			k, st, pre, base, n, nd := wboxInstance(rng, p, 3, 24)
+			pend := make([][]graph.NodeID, k.numOrders)
+			st2 := k.newState()
+			fresh := k.newPrefix()
+			for step := 0; step < 30; step++ {
+				np := 1 + rng.Intn(3)
+				if np > n {
+					np = n
 				}
-				patch = append(patch, graph.NodeID(v))
-				m[v] = dev
-			}
-			want := k.makespan(st2, m, math.Inf(1))
-			cutoff := math.Inf(1)
-			if rng.Intn(2) == 0 && !math.IsInf(want, 1) && want > 0 {
-				cutoff = want * (0.8 + 0.4*rng.Float64())
-			}
-			got := k.makespanInc(st, m, patch, pre, cutoff, rng.Intn(2) == 0, base, pend)
-			switch {
-			case got <= cutoff || math.IsInf(cutoff, 1):
-				if got != want {
-					t.Fatalf("trial %d step %d: eval %.17g want %.17g cutoff %.17g\nn=%d base=%v patch=%v pend=%v",
-						trial, step, got, want, cutoff, n, base, patch, pend)
-				}
-			case got > want:
-				t.Fatalf("trial %d step %d: abort %.17g exceeds true %.17g\nn=%d base=%v patch=%v",
-					trial, step, got, want, n, base, patch)
-			case want <= cutoff:
-				t.Fatalf("trial %d step %d: false reject %.17g of true %.17g <= cutoff %.17g\nn=%d base=%v patch=%v",
-					trial, step, got, want, cutoff, n, base, patch)
-			}
-			if rng.Intn(2) == 0 {
-				// Commit the move the way Incremental.Apply does: fold
-				// overflowing orders against the pre-patch base, then
-				// update the base and append the patch as pending.
-				for o := range pend {
-					if pd := pend[o]; len(pd)+len(patch) > foldCap {
-						k.applyOrder(st, base, o, pd, pre)
-						pend[o] = pd[:0]
+				var patch []graph.NodeID
+				dev := rng.Intn(nd)
+				m := append([]int(nil), base...)
+				for len(patch) < np {
+					v := rng.Intn(n)
+					if inPatch(patch, v) {
+						continue
 					}
+					patch = append(patch, graph.NodeID(v))
+					m[v] = dev
 				}
-				for _, v := range patch {
-					base[v] = dev
+				want := k.makespan(st2, m, math.Inf(1))
+				cutoff := math.Inf(1)
+				if rng.Intn(2) == 0 && !math.IsInf(want, 1) && want > 0 {
+					cutoff = want * (0.8 + 0.4*rng.Float64())
 				}
-				for o := range pend {
-					pd := pend[o]
-					for _, pv := range patch {
-						if !inPatch(pd, int(pv)) {
-							pd = append(pd, pv)
+				pending := 0
+				for _, pd := range pend {
+					pending += len(pd)
+				}
+				got := k.makespanInc(st, m, patch, pre, cutoff, rng.Intn(2) == 0, base, pend)
+				switch {
+				case got <= cutoff || math.IsInf(cutoff, 1):
+					if got != want {
+						t.Fatalf("platform %d trial %d step %d: eval %.17g want %.17g cutoff %.17g\nn=%d base=%v patch=%v pend=%v",
+							pi, trial, step, got, want, cutoff, n, base, patch, pend)
+					}
+				case got > want:
+					t.Fatalf("platform %d trial %d step %d: abort %.17g exceeds true %.17g\nn=%d base=%v patch=%v",
+						pi, trial, step, got, want, n, base, patch)
+				case want <= cutoff:
+					t.Fatalf("platform %d trial %d step %d: false reject %.17g of true %.17g <= cutoff %.17g\nn=%d base=%v patch=%v",
+						pi, trial, step, got, want, cutoff, n, base, patch)
+				}
+				for _, pd := range pend {
+					pending -= len(pd)
+				}
+				if pending > 0 {
+					folds++
+					checkFreshRecording(t, k, st2, base, pre, fresh, pend)
+				}
+				if rng.Intn(2) == 0 {
+					// Commit the move the way Incremental.Apply does: fold
+					// overflowing orders against the pre-patch base, then
+					// update the base and append the patch as pending.
+					folded := false
+					for o := range pend {
+						if pd := pend[o]; len(pd)+len(patch) > foldCap {
+							k.applyOrder(st, base, o, pd, pre)
+							pend[o] = pd[:0]
+							folded = true
 						}
 					}
-					pend[o] = pd
+					if folded {
+						folds++
+						checkFreshRecording(t, k, st2, base, pre, fresh, pend)
+					}
+					for _, v := range patch {
+						base[v] = dev
+					}
+					for o := range pend {
+						pd := pend[o]
+						for _, pv := range patch {
+							if !inPatch(pd, int(pv)) {
+								pd = append(pd, pv)
+							}
+						}
+						pend[o] = pd
+					}
+				}
+			}
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no fold happened; the recording check never ran")
+	}
+}
+
+// checkFreshRecording asserts that every order of pre with no pending
+// moves is bit-identical to a fresh buildPrefix of base, row by row, and
+// that every device's slot segment of every checkpoint is ascending.
+func checkFreshRecording(t *testing.T, k *kernel, st *simState, base []int, pre, fresh *batchPrefix, pend [][]graph.NodeID) {
+	t.Helper()
+	k.buildPrefix(st, base, fresh)
+	n, ns, nd := k.n, k.numSlots, k.nd
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for o := range pend {
+		if len(pend[o]) > 0 {
+			continue
+		}
+		rows := []struct {
+			name      string
+			got, want []float64
+		}{
+			{"freeCkpt", pre.freeCkpt[o*n*ns : (o+1)*n*ns], fresh.freeCkpt[o*n*ns : (o+1)*n*ns]},
+			{"msCkpt", pre.msCkpt[o*n : (o+1)*n], fresh.msCkpt[o*n : (o+1)*n]},
+			{"start", pre.start[o*n : (o+1)*n], fresh.start[o*n : (o+1)*n]},
+			{"finish", pre.finish[o*n : (o+1)*n], fresh.finish[o*n : (o+1)*n]},
+			{"sufMax", pre.sufMax[o*(n+1) : (o+1)*(n+1)], fresh.sufMax[o*(n+1) : (o+1)*(n+1)]},
+			{"sufLoad", pre.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd], fresh.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]},
+		}
+		for _, r := range rows {
+			if !same(r.got, r.want) {
+				t.Fatalf("order %d: folded %s %v != fresh %v", o, r.name, r.got, r.want)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if pre.baseMO[o*n+v] != fresh.baseMO[o*n+v] {
+				t.Fatalf("order %d: folded baseMO %v != fresh %v", o, pre.baseMO[o*n:(o+1)*n], fresh.baseMO[o*n:(o+1)*n])
+			}
+		}
+		for i := 0; i < n; i++ {
+			row := pre.freeCkpt[(o*n+i)*ns : (o*n+i+1)*ns]
+			for d := 0; d < nd; d++ {
+				for s := k.slotStart[d] + 1; s < k.slotStart[d+1]; s++ {
+					if row[s-1] > row[s] {
+						t.Fatalf("order %d position %d: device %d slots %v not ascending",
+							o, i, d, row[k.slotStart[d]:k.slotStart[d+1]])
+					}
 				}
 			}
 		}

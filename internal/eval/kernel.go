@@ -128,10 +128,11 @@ type kernel struct {
 
 	// Per-device metadata.
 	devStreaming []bool
-	devSpatial   []bool
 	devArea      []float64 // capacity; 0 = unconstrained
 	// slotStart[d]..slotStart[d+1] are device d's slots in the flattened
-	// next-free array.
+	// next-free array. A spatial device runs its tasks side by side and
+	// never waits for a slot, so it gets none: an empty segment is how
+	// every simulation loop recognizes it.
 	slotStart []int32
 	numSlots  int
 	// invSlots[d] is 1/numSlots(d) for non-spatial devices and 0 for
@@ -189,7 +190,6 @@ func compileNoise(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID, n
 		host:         p.Default,
 		taskArea:     make([]float64, n),
 		devStreaming: make([]bool, nd),
-		devSpatial:   make([]bool, nd),
 		devArea:      make([]float64, nd),
 		slotStart:    make([]int32, nd+1),
 		pairLat:      make([]float64, nd*nd),
@@ -210,15 +210,17 @@ func compileNoise(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID, n
 			k.energyTab[d*n+v] = k.exec[d*n+v] * dev.PowerW
 		}
 		k.devStreaming[d] = dev.Streaming
-		k.devSpatial[d] = dev.Spatial
 		k.devArea[d] = dev.Area
-		k.slotStart[d+1] = k.slotStart[d] + int32(dev.NumSlots())
+		k.slotStart[d+1] = k.slotStart[d]
+		if !dev.Spatial {
+			k.slotStart[d+1] += int32(dev.NumSlots())
+		}
 	}
 	k.numSlots = int(k.slotStart[nd])
 	k.invSlots = make([]float64, nd)
 	for d := 0; d < nd; d++ {
-		if !k.devSpatial[d] {
-			k.invSlots[d] = 1 / float64(k.slotStart[d+1]-k.slotStart[d])
+		if s := k.slotStart[d+1] - k.slotStart[d]; s > 0 {
+			k.invSlots[d] = 1 / float64(s)
 		}
 	}
 	k.pos = make([]int32, len(orders)*n)
@@ -366,7 +368,7 @@ func compileNoise(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID, n
 // simState is the per-goroutine mutable scratch of one kernel.
 type simState struct {
 	start, finish []float64
-	free          []float64 // flattened per-device slot next-free times
+	free          []float64 // per-device slot next-free times, each device's segment ascending (see placeSlot)
 	area          []float64
 	mbuf          []int  // patched-mapping buffer for Op evaluation
 	basePtr       *int   // identity of the Base currently copied into mbuf
@@ -385,9 +387,11 @@ type simState struct {
 	load    []float64
 	freeSum []float64
 
-	// sortA/sortB are the dominance check's per-device slot sorting
-	// scratch (see slotsDominate in incremental.go).
-	sortA, sortB []float64
+	// patchMark/patchEpoch mark the tasks of the patch makespanInc is
+	// evaluating: patchMark[v] == patchEpoch iff v is patched, an O(1)
+	// membership test for the replay's per-placement bookkeeping.
+	patchMark  []uint64
+	patchEpoch uint64
 
 	// cpbuf is the composed-patch scratch of the incremental session's
 	// lazy apply: the caller's patch extended with an order's pending
@@ -397,18 +401,17 @@ type simState struct {
 
 func (k *kernel) newState() *simState {
 	return &simState{
-		start:   make([]float64, k.n),
-		finish:  make([]float64, k.n),
-		free:    make([]float64, k.numSlots),
-		area:    make([]float64, k.nd),
-		mbuf:    make([]int, k.n),
-		keybuf:  make([]byte, k.n),
-		stamp:   make([]uint64, k.n),
-		load:    make([]float64, k.nd),
-		freeSum: make([]float64, k.nd),
-		sortA:   make([]float64, k.numSlots),
-		sortB:   make([]float64, k.numSlots),
-		cpbuf:   make([]graph.NodeID, 0, k.n),
+		start:     make([]float64, k.n),
+		finish:    make([]float64, k.n),
+		free:      make([]float64, k.numSlots),
+		area:      make([]float64, k.nd),
+		mbuf:      make([]int, k.n),
+		keybuf:    make([]byte, k.n),
+		stamp:     make([]uint64, k.n),
+		load:      make([]float64, k.nd),
+		freeSum:   make([]float64, k.nd),
+		patchMark: make([]uint64, k.n),
+		cpbuf:     make([]graph.NodeID, 0, k.n),
 	}
 }
 
@@ -423,8 +426,13 @@ func (k *kernel) newState() *simState {
 // goroutine issuing the batch) and read concurrently by the workers.
 type batchPrefix struct {
 	start, finish []float64 // [o*n + v]
-	freeCkpt      []float64 // [(o*n + i)*numSlots + s]
-	msCkpt        []float64 // [o*n + i]
+	// freeCkpt[(o*n + i)*numSlots + s] is slot s's next-free time before
+	// order-o position i is placed, in simState.free's layout: each
+	// device's segment ascending, so a checkpoint is the canonical form of
+	// the devices' next-free multisets and a replay's slot state matches
+	// it exactly when those multisets are equal.
+	freeCkpt []float64
+	msCkpt   []float64 // [o*n + i]
 
 	// sufMax[o*(n+1)+i] is the maximum finish time over order-o positions
 	// >= i of the recorded base (sufMax[..+n] = -Inf). It is the
@@ -509,6 +517,21 @@ func (k *kernel) energy(st *simState, m []int) float64 {
 	return total
 }
 
+// placeSlot occupies the earliest-free slot of one device's ascending
+// slot segment (its head) until fin and re-inserts fin so the segment
+// stays ascending. A list schedule reads a device's slots only through
+// their smallest next-free time, so its times depend on each device's
+// multiset of next-free times alone: reading the head of the sorted
+// segment yields exactly the times of the reference simulation's
+// earliest-free scan, whichever equal slot that scan picks.
+func placeSlot(seg []float64, fin float64) {
+	i := 1
+	for ; i < len(seg) && seg[i] < fin; i++ {
+		seg[i-1] = seg[i]
+	}
+	seg[i-1] = fin
+}
+
 // transfer is platform.TransferTime over the precomputed pair tables; the
 // floating-point expression shape matches exactly.
 func (k *kernel) transfer(a, b int, bytes float64) float64 {
@@ -588,26 +611,17 @@ func (k *kernel) simOrder(st *simState, m []int, o int, bound float64, rec *batc
 			}
 		}
 		startT := ready
-		slot := -1
-		if !k.devSpatial[d] {
-			// Earliest-free slot of the device.
-			slot = int(k.slotStart[d])
-			for s := slot + 1; s < int(k.slotStart[d+1]); s++ {
-				if free[s] < free[slot] {
-					slot = s
-				}
-			}
-			if free[slot] > startT {
-				startT = free[slot]
-			}
+		s0, s1 := k.slotStart[d], k.slotStart[d+1]
+		if s0 < s1 && free[s0] > startT {
+			startT = free[s0] // the device's earliest-free slot
 		}
 		fin := startT + execD[v]
 		if streamDrain > fin {
 			fin = streamDrain
 		}
 		start[v], finish[v] = startT, fin
-		if slot >= 0 {
-			free[slot] = fin
+		if s0 < s1 {
+			placeSlot(free[s0:s1], fin)
 		}
 		if fin > makespan {
 			makespan = fin
