@@ -42,8 +42,15 @@ func benchCfg() experiments.Config {
 
 func logTable(b *testing.B, t *experiments.Table) {
 	b.Helper()
+	logReport(b, t.Report())
+}
+
+func logReport(b *testing.B, r experiments.Report) {
+	b.Helper()
 	var sb strings.Builder
-	t.Print(&sb)
+	if err := r.Text(&sb); err != nil {
+		b.Fatal(err)
+	}
 	b.Log("\n" + sb.String())
 }
 
@@ -97,9 +104,7 @@ func BenchmarkTable1Workflows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Table1(benchCfg())
 		if i == 0 {
-			var sb strings.Builder
-			experiments.PrintTable1(&sb, rows)
-			b.Log("\n" + sb.String())
+			logReport(b, experiments.Report{ID: "table1", Title: "WfCommons-like benchmark sets", Rows: rows})
 		}
 	}
 }

@@ -14,12 +14,20 @@
 //	spmap-bench -exp portfolio       # extension: portfolio racing vs single mappers
 //	spmap-bench -exp online          # extension: warm-start repair vs cold re-map per event
 //	spmap-bench -exp incremental     # extension: incremental session vs full replay move throughput
+//	spmap-bench -exp service         # extension: mapping-service load sweep, coalesced vs direct
+//	spmap-bench -exp service -addr u # the same load generator against a live spmapd at base URL u
 //	spmap-bench -exp fleet           # extension: sharded replay fleets with checkpoint/resume
 //	spmap-bench -exp fleet -store d  # persistent checkpoints: kill mid-run, re-run, traces verified
 //	spmap-bench -exp robust          # extension: uncertainty-aware robust vs nominal under degradation
 //	spmap-bench -exp certify         # extension: certified optimality gaps, gap-adaptive termination
 //	spmap-bench -exp fig3 -paper     # paper-scale protocol
+//	spmap-bench -exp fig3,table1 -csv out/ -json out.json
 //	spmap-bench -exp incremental -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// Every experiment prints its reports as aligned text. -csv DIR also
+// writes one <report>.csv per report into DIR, and -json FILE writes
+// all reports of the run as one JSON array of {id, title, rows, notes}
+// objects.
 //
 // Unknown -exp names, negative numeric overrides, an unwritable -csv
 // directory and uncreatable -cpuprofile/-memprofile paths exit with
@@ -37,6 +45,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -53,23 +62,95 @@ func main() {
 // isUsageError classifies option-validation failures (exit status 2).
 func isUsageError(err error) bool { return cli.IsUsage(err) }
 
-// knownExperiments is the -exp vocabulary.
-var knownExperiments = map[string]bool{
-	"fig3": true, "fig4": true, "fig5": true, "fig6": true, "fig7": true,
-	"table1": true, "ablation": true, "localsearch": true, "pareto": true,
-	"portfolio": true, "online": true, "incremental": true, "service": true,
-	"fleet": true, "robust": true, "certify": true,
+// params are the parsed flags an experiment reads.
+type params struct {
+	cfg   experiments.Config
+	eps   float64
+	addr  string
+	store string
+}
+
+// experiment is one -exp name and the reports it produces. The error
+// is fleet's resume gate: the reports returned with it are diagnostics.
+type experiment struct {
+	name  string
+	paper bool // a figure or table of the paper: part of -exp all
+	run   func(params) ([]experiments.Report, error)
+}
+
+// tables runs figure-style experiments, one report each.
+func tables(fs ...func(experiments.Config) *experiments.Table) func(params) ([]experiments.Report, error) {
+	return func(p params) ([]experiments.Report, error) {
+		var reports []experiments.Report
+		for _, f := range fs {
+			reports = append(reports, f(p.cfg).Report())
+		}
+		return reports, nil
+	}
+}
+
+// catalog is the -exp vocabulary, in the order -exp all and the help
+// list them.
+var catalog = []experiment{
+	{"fig3", true, tables(experiments.Fig3)},
+	{"fig4", true, tables(experiments.Fig4)},
+	{"fig5", true, tables(experiments.Fig5)},
+	{"fig6", true, tables(experiments.Fig6)},
+	{"fig7", true, tables(experiments.Fig7)},
+	{"table1", true, func(p params) ([]experiments.Report, error) {
+		return []experiments.Report{{ID: "table1", Title: "WfCommons-like benchmark sets (average improvement, total mapper time)",
+			Rows: experiments.Table1(p.cfg)}}, nil
+	}},
+	{"ablation", false, tables(experiments.CutPolicyAblation, experiments.GammaAblation, experiments.ScheduleCountAblation)},
+	{"localsearch", false, tables(experiments.LocalSearchComparison)},
+	{"pareto", false, func(p params) ([]experiments.Report, error) {
+		return []experiments.Report{{ID: "pareto", Title: "weighted sweep vs. NSGA-II (equal budgets, random SP graphs)",
+			Rows: experiments.ParetoComparisonEps(p.cfg, p.eps)}}, nil
+	}},
+	{"portfolio", false, tables(experiments.PortfolioComparison)},
+	{"online", false, tables(experiments.OnlineComparison)},
+	{"incremental", false, func(p params) ([]experiments.Report, error) {
+		return []experiments.Report{{ID: "incremental", Title: "local-search move throughput (single worker, shared move sequence)",
+			Rows: experiments.IncrementalComparison(p.cfg)}}, nil
+	}},
+	{"service", false, func(p params) ([]experiments.Report, error) {
+		return []experiments.Report{{ID: "service", Title: "spmapd load generator (/v1/evaluate requests, determinism-gated)",
+			Rows: experiments.ServiceLoad(p.cfg, p.addr)}}, nil
+	}},
+	{"fleet", false, func(p params) ([]experiments.Report, error) {
+		rows, err := experiments.FleetComparison(p.cfg, p.store)
+		return []experiments.Report{{ID: "fleet", Title: "sharded online replay streams with checkpoint/resume",
+			Rows: rows, Notes: experiments.FleetNotes(rows)}}, err
+	}},
+	{"robust", false, func(p params) ([]experiments.Report, error) {
+		return []experiments.Report{
+			{ID: "robust", Title: "nominal vs. uncertainty-aware mapping on degrade-heavy scenario families " +
+				"(makespans normalized by the undegraded nominal makespan; tail = p95 over worlds)",
+				Rows: experiments.RobustComparison(p.cfg)},
+			{ID: "robust_cost", Title: "Monte-Carlo batching cost (batch 64, per-candidate µs)",
+				Rows: experiments.RobustCost(p.cfg)},
+		}, nil
+	}},
+	{"certify", false, func(p params) ([]experiments.Report, error) {
+		rows := experiments.CertifyComparison(p.cfg)
+		return []experiments.Report{{ID: "certify", Title: "certified optimality gaps and gap-adaptive termination",
+			Rows: rows, Notes: experiments.CertifyNotes(rows)}}, nil
+	}},
 }
 
 // run is main's testable body: it parses and validates args, executes
-// the experiments and writes the reports to stdout. Errors of type
-// usageError (and flag parse errors, which the FlagSet reports to
-// stderr itself) correspond to exit status 2.
+// the experiments and writes the reports to stdout (and to -csv/-json).
+// Errors of type usageError (and flag parse errors, which the FlagSet
+// reports to stderr itself) correspond to exit status 2.
 func run(args []string, stdout, stderr io.Writer) error {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
 	fs := flag.NewFlagSet("spmap-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: fig3 fig4 fig5 fig6 fig7 table1 ablation localsearch pareto portfolio online incremental service fleet robust certify all")
+		exp       = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(names, " ")+" all")
 		paper     = fs.Bool("paper", false, "full paper-scale protocol (slow)")
 		graphs    = fs.Int("graphs", 0, "override graphs per data point (>= 0; 0 = profile default)")
 		schedules = fs.Int("schedules", 0, "override random schedules in the cost function (>= 0)")
@@ -78,9 +159,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed      = fs.Int64("seed", 1, "base RNG seed")
 		workers   = fs.Int("workers", 0, "evaluation-engine worker pool (>= 0; 0 = GOMAXPROCS, 1 = serial; results are identical)")
 		eps       = fs.Float64("eps", 0, "Pareto archive ε-grid resolution for -exp pareto (>= 0; 0 = exact front)")
-		csvDir    = fs.String("csv", "", "also write <experiment>.csv files into this directory")
+		csvDir    = fs.String("csv", "", "also write one <report>.csv per report into this directory")
 		addr      = fs.String("addr", "", "for -exp service: fire the load generator at a live spmapd base URL instead of in-process services")
-		jsonPath  = fs.String("json", "", "for -exp service/fleet: also write the result rows as JSON to this file")
+		jsonPath  = fs.String("json", "", "also write every report of the run to this file as one JSON array of {id, title, rows, notes}")
 		storeDir  = fs.String("store", "", "for -exp fleet: back the resume-verify section with a persistent checkpoint directory (survives a killed process)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
@@ -113,27 +194,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case *workers < 0:
 		return usage("-workers must be >= 0, got %d", *workers)
 	}
-	names := strings.Split(*exp, ",")
-	if *exp == "all" {
-		names = []string{"fig3", "fig4", "fig5", "fig6", "fig7", "table1"}
-	}
-	hasService, hasFleet, hasCertify := false, false, false
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-		if !knownExperiments[names[i]] {
-			return usage("unknown experiment %q", names[i])
+	var selected []experiment
+	has := map[string]bool{}
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(catalog, func(e experiment) bool { return e.name == name })
+		switch {
+		case name == "all":
+			for _, e := range catalog {
+				if e.paper {
+					selected = append(selected, e)
+				}
+			}
+		case i < 0:
+			return usage("unknown experiment %q", name)
+		default:
+			selected = append(selected, catalog[i])
 		}
-		hasService = hasService || names[i] == "service"
-		hasFleet = hasFleet || names[i] == "fleet"
-		hasCertify = hasCertify || names[i] == "certify"
+		has[name] = true
 	}
-	if *addr != "" && !hasService {
+	if *addr != "" && !has["service"] {
 		return usage("-addr applies to -exp service only")
 	}
-	if *jsonPath != "" && !hasService && !hasFleet && !hasCertify {
-		return usage("-json applies to -exp service, fleet and certify only")
-	}
-	if *storeDir != "" && !hasFleet {
+	if *storeDir != "" && !has["fleet"] {
 		return usage("-store applies to -exp fleet only")
 	}
 	if *csvDir != "" {
@@ -174,159 +257,47 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer f.Close()
 	}
 
-	cfg := experiments.Config{
-		Paper:          *paper,
-		GraphsPerPoint: *graphs,
-		Schedules:      *schedules,
-		GAGenerations:  *gaGens,
-		MILPTimeLimit:  *milpBudg,
-		Seed:           *seed,
-		Workers:        *workers,
+	p := params{
+		cfg: experiments.Config{
+			Paper:          *paper,
+			GraphsPerPoint: *graphs,
+			Schedules:      *schedules,
+			GAGenerations:  *gaGens,
+			MILPTimeLimit:  *milpBudg,
+			Seed:           *seed,
+			Workers:        *workers,
+		},
+		eps: *eps, addr: *addr, store: *storeDir,
 	}
-	emitCSV := func(name string, write func(io.Writer) error) error {
-		if *csvDir == "" {
-			return nil
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		err = write(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	emit := func(t *experiments.Table) error {
-		t.Print(stdout)
-		return emitCSV(t.ID, t.WriteCSV)
-	}
-	for _, name := range names {
+	var all []experiments.Report
+	for _, e := range selected {
 		start := time.Now()
-		var err error
-		switch name {
-		case "fig3":
-			err = emit(experiments.Fig3(cfg))
-		case "fig4":
-			err = emit(experiments.Fig4(cfg))
-		case "fig5":
-			err = emit(experiments.Fig5(cfg))
-		case "fig6":
-			err = emit(experiments.Fig6(cfg))
-		case "fig7":
-			err = emit(experiments.Fig7(cfg))
-		case "table1":
-			rows := experiments.Table1(cfg)
-			experiments.PrintTable1(stdout, rows)
-			err = emitCSV("table1", func(w io.Writer) error {
-				return experiments.WriteCSVTable1(w, rows)
-			})
-		case "ablation":
-			if err = emit(experiments.CutPolicyAblation(cfg)); err != nil {
-				break
+		reports, err := e.run(p)
+		for i, r := range reports {
+			if i > 0 {
+				fmt.Fprintln(stdout)
 			}
-			fmt.Fprintln(stdout)
-			if err = emit(experiments.GammaAblation(cfg)); err != nil {
-				break
+			if werr := r.Text(stdout); werr != nil {
+				return werr
 			}
-			fmt.Fprintln(stdout)
-			err = emit(experiments.ScheduleCountAblation(cfg))
-		case "localsearch":
-			err = emit(experiments.LocalSearchComparison(cfg))
-		case "portfolio":
-			err = emit(experiments.PortfolioComparison(cfg))
-		case "online":
-			err = emit(experiments.OnlineComparison(cfg))
-		case "incremental":
-			rows := experiments.IncrementalComparison(cfg)
-			experiments.PrintIncremental(stdout, rows)
-			err = emitCSV("incremental", func(w io.Writer) error {
-				return experiments.WriteCSVIncremental(w, rows)
-			})
-		case "service":
-			rows := experiments.ServiceLoad(cfg, *addr)
-			experiments.PrintService(stdout, rows)
-			err = emitCSV("service", func(w io.Writer) error {
-				return experiments.WriteCSVService(w, rows)
-			})
-			if err == nil && *jsonPath != "" {
-				var f *os.File
-				if f, err = os.Create(*jsonPath); err == nil {
-					err = experiments.WriteJSONService(f, rows)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-			}
-		case "fleet":
-			var rows []experiments.FleetRow
-			rows, err = experiments.FleetComparison(cfg, *storeDir)
-			if rows != nil {
-				experiments.PrintFleet(stdout, rows)
-			}
-			if err != nil {
-				// The resume-verification gate failed (or the store is
-				// unusable): the printed rows are diagnostics, the run is
-				// not a valid benchmark.
-				return err
-			}
-			err = emitCSV("fleet", func(w io.Writer) error {
-				return experiments.WriteCSVFleet(w, rows)
-			})
-			if err == nil && *jsonPath != "" {
-				var f *os.File
-				if f, err = os.Create(*jsonPath); err == nil {
-					err = experiments.WriteJSONFleet(f, rows)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-			}
-		case "certify":
-			rows := experiments.CertifyComparison(cfg)
-			experiments.PrintCertify(stdout, rows)
-			err = emitCSV("certify", func(w io.Writer) error {
-				return experiments.WriteCSVCertify(w, rows)
-			})
-			if err == nil && *jsonPath != "" {
-				var f *os.File
-				if f, err = os.Create(*jsonPath); err == nil {
-					err = experiments.WriteJSONCertify(f, rows)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-			}
-		case "pareto":
-			rows := experiments.ParetoComparisonEps(cfg, *eps)
-			experiments.PrintPareto(stdout, rows)
-			err = emitCSV("pareto", func(w io.Writer) error {
-				return experiments.WriteCSVPareto(w, rows)
-			})
-		case "robust":
-			rows := experiments.RobustComparison(cfg)
-			experiments.PrintRobust(stdout, rows)
-			if err = emitCSV("robust", func(w io.Writer) error {
-				return experiments.WriteCSVRobust(w, rows)
-			}); err != nil {
-				break
-			}
-			costs := experiments.RobustCost(cfg)
-			experiments.PrintRobustCost(stdout, costs)
-			err = emitCSV("robust_cost", func(w io.Writer) error {
-				return experiments.WriteCSVRobustCost(w, costs)
-			})
-		default:
-			// knownExperiments and this dispatch are maintained together; a
-			// name validated above but not dispatched here is a programming
-			// error, not a user error.
-			return fmt.Errorf("internal error: experiment %q validated but not dispatched", name)
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\n[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+		if *csvDir != "" {
+			for _, r := range reports {
+				if err := writeFile(filepath.Join(*csvDir, r.ID+".csv"), r.CSV); err != nil {
+					return err
+				}
+			}
+		}
+		all = append(all, reports...)
+		fmt.Fprintf(stdout, "\n[%s completed in %s]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+	}
+	if *jsonPath != "" {
+		if err := writeFile(*jsonPath, func(w io.Writer) error { return experiments.EncodeJSON(w, all) }); err != nil {
+			return err
+		}
 	}
 	if memProfFile != nil {
 		runtime.GC() // settle the heap so the profile shows retained memory
@@ -335,4 +306,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write, reporting the first
+// of the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

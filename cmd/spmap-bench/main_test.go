@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,7 +37,6 @@ func TestBenchFlagValidation(t *testing.T) {
 		{"uncreatable cpuprofile", []string{"-exp", "fig3", "-cpuprofile", filepath.Join(unwritable, "cpu.pprof")}, "-cpuprofile"},
 		{"uncreatable memprofile", []string{"-exp", "fig3", "-memprofile", filepath.Join(unwritable, "mem.pprof")}, "-memprofile"},
 		{"store without fleet", []string{"-exp", "fig3", "-store", "/tmp/x"}, "-store applies to -exp fleet only"},
-		{"json without service fleet or certify", []string{"-exp", "fig3", "-json", "out.json"}, "-json applies to -exp service, fleet and certify only"},
 		{"addr without service", []string{"-exp", "fleet", "-addr", "http://x"}, "-addr applies to -exp service only"},
 		{"undeclared flag", []string{"-frobnicate"}, ""}, // FlagSet's own error
 	}
@@ -100,8 +100,8 @@ func TestBenchOnlineExperiment(t *testing.T) {
 }
 
 // TestBenchIncrementalExperiment smoke-runs the move-throughput
-// comparison end to end on a tiny profile with CSV export and both
-// profilers enabled. The experiment itself panics if its two
+// comparison end to end on a tiny profile with CSV and JSON export and
+// both profilers enabled. The experiment itself panics if its two
 // evaluation strategies ever disagree, so a clean run doubles as a
 // differential check.
 func TestBenchIncrementalExperiment(t *testing.T) {
@@ -111,14 +111,15 @@ func TestBenchIncrementalExperiment(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
+	jsonPath := filepath.Join(dir, "incremental.json")
 	var stdout bytes.Buffer
 	err := run([]string{"-exp", "incremental", "-schedules", "2",
-		"-cpuprofile", cpu, "-memprofile", mem, "-csv", dir}, &stdout, io.Discard)
+		"-cpuprofile", cpu, "-memprofile", mem, "-csv", dir, "-json", jsonPath}, &stdout, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"full", "incremental", "moves/sec", "incremental completed"} {
+	for _, want := range []string{"full", "incremental", "moves_per_sec", "incremental completed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("incremental report missing %q:\n%s", want, out)
 		}
@@ -132,6 +133,24 @@ func TestBenchIncrementalExperiment(t *testing.T) {
 	}
 	if !strings.Contains(string(csv), "speedup_vs_full") {
 		t.Fatalf("incremental.csv missing header:\n%s", csv)
+	}
+	js, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []struct {
+		ID   string `json:"id"`
+		Rows []struct {
+			Mode  string `json:"mode"`
+			Moves int    `json:"moves"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(js, &reports); err != nil {
+		t.Fatalf("incremental.json does not decode: %v\n%s", err, js)
+	}
+	if len(reports) != 1 || reports[0].ID != "incremental" || len(reports[0].Rows) == 0 ||
+		reports[0].Rows[0].Mode != "full" || reports[0].Rows[0].Moves <= 0 {
+		t.Fatalf("incremental.json: %s", js)
 	}
 	for _, p := range []string{cpu, mem} {
 		// StopCPUProfile runs in a defer inside run, so both files are
@@ -208,7 +227,7 @@ func TestBenchRobustExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"nom_tail", "rob_tail", "tail_impr", "Monte-Carlo batching cost", "overhead", "robust completed"} {
+	for _, want := range []string{"nominal_tail", "robust_tail", "tail_improvement", "Monte-Carlo batching cost", "overhead", "robust completed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("robust report missing %q:\n%s", want, out)
 		}
@@ -231,7 +250,7 @@ func TestBenchRobustExperiment(t *testing.T) {
 
 // TestBenchCertifyExperiment smoke-runs the certificate experiment on a
 // tiny profile: both sections print, the CSV exports, and the JSON
-// rows (the BENCH_PR10.json shape) parse and carry certificates.
+// rows parse and carry certificates.
 func TestBenchCertifyExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep in -short mode")

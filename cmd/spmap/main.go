@@ -226,8 +226,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runPareto(stdout, g, p, ev, *algo, *epsFlag, *seed, *workers, *lsBudget, *asJSON, *frontOut)
 	}
 	if *objective == "robust" {
-		// MapRobust's default budget (4200) is tuned for the extra Samples
-		// simulations per candidate; only an explicit -ls-budget overrides.
+		// MapRobustWithEvaluator's default budget (4200) is tuned for the
+		// extra Samples simulations per candidate; only an explicit
+		// -ls-budget overrides.
 		budget := 0
 		if explicit["ls-budget"] {
 			budget = *lsBudget
@@ -268,9 +269,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *algo == "hillclimb" {
 			alg = spmap.HillClimb
 		}
-		// Search under the same -schedules cost function the result is
-		// judged with (Refine from the baseline == MapLocalSearch, but on
-		// the configured evaluator instead of the BFS-only default).
+		// Local search from the pure-CPU baseline, under the same
+		// -schedules cost function the result is judged with.
 		mm, st, lerr := spmap.Refine(ev, spmap.BaselineMapping(g, p), spmap.LocalSearchOptions{
 			Algorithm: alg, Seed: *seed, Workers: *workers, Budget: *lsBudget,
 			WTime: wTime, WEnergy: wEnergy,

@@ -162,7 +162,7 @@ func TestStreamingAwareness(t *testing.T) {
 	}
 	m := mapping.Mapping{fpga, fpga}
 	ms := ev.Makespan(m)
-	naive := ev.LowerBound()
+	naive := g.CriticalPathWork(ev.BestExec)
 	if naive <= ms+1e-9 {
 		t.Skip("instance does not exhibit the streaming overlap counterexample")
 	}

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"spmap/internal/gen"
@@ -135,67 +132,17 @@ func CertifyComparison(cfg Config) []CertifyRow {
 	return rows
 }
 
-// certifyHeader is the CSV column order.
-var certifyHeader = []string{
-	"section", "label", "tasks", "seed", "makespan", "lower_bound",
-	"bound_name", "gap", "evals", "gap_target", "gap_stop",
-	"budget_saved", "full_makespan", "full_evals", "unchanged",
-}
-
-// WriteCSVCertify emits the certify rows as CSV.
-func WriteCSVCertify(w io.Writer, rows []CertifyRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(certifyHeader); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Section, r.Label, fmt.Sprint(r.Tasks), fmt.Sprint(r.Seed),
-			fmt.Sprintf("%g", r.Makespan), fmt.Sprintf("%g", r.LowerBound),
-			r.BoundName, fmt.Sprintf("%g", r.Gap), fmt.Sprint(r.Evals),
-			fmt.Sprintf("%g", r.GapTarget), fmt.Sprint(r.GapStop),
-			fmt.Sprint(r.BudgetSaved), fmt.Sprintf("%g", r.FullMakespan),
-			fmt.Sprint(r.FullEvals), fmt.Sprint(r.Unchanged),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSONCertify emits the certify rows as indented JSON (the shape
-// BENCH_PR10.json records).
-func WriteJSONCertify(w io.Writer, rows []CertifyRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// PrintCertify renders the certify comparison.
-func PrintCertify(w io.Writer, rows []CertifyRow) {
-	fmt.Fprintf(w, "# certify — certified optimality gaps and gap-adaptive termination\n\n")
-	fmt.Fprintf(w, "%-9s %-13s %6s %12s %12s %-13s %7s %7s %6s %8s %10s\n",
-		"section", "label", "tasks", "makespan", "bound", "bound_name",
-		"gap", "evals", "stop", "saved", "unchanged")
-	for _, r := range rows {
-		stop, saved, unchanged := "-", "-", "-"
-		if r.Section == "gap-stop" {
-			stop, saved = fmt.Sprint(r.GapStop), fmt.Sprint(r.BudgetSaved)
-			unchanged = fmt.Sprint(r.Unchanged)
-		}
-		fmt.Fprintf(w, "%-9s %-13s %6d %12.5g %12.5g %-13s %7.4f %7d %6s %8s %10s\n",
-			r.Section, r.Label, r.Tasks, r.Makespan, r.LowerBound,
-			r.BoundName, r.Gap, r.Evals, stop, saved, unchanged)
-	}
+// CertifyNotes returns the gap-stop summary line of rows: the first
+// workflow whose certified stop saved at least a fifth of the budget at
+// an unchanged final makespan (none when no row qualifies).
+func CertifyNotes(rows []CertifyRow) []string {
 	for _, r := range rows {
 		if r.Section == "gap-stop" && r.GapStop && r.Unchanged &&
 			r.BudgetSaved*5 >= certifyBudget {
-			fmt.Fprintf(w, "\ngap-stop: %s stopped at certified gap %.4f, saving %d of %d evaluations (%.0f%%) at an unchanged final makespan\n",
+			return []string{fmt.Sprintf("gap-stop: %s stopped at certified gap %.4f, saving %d of %d evaluations (%.0f%%) at an unchanged final makespan",
 				r.Label, r.Gap, r.BudgetSaved, certifyBudget,
-				100*float64(r.BudgetSaved)/certifyBudget)
-			break
+				100*float64(r.BudgetSaved)/certifyBudget)}
 		}
 	}
+	return nil
 }

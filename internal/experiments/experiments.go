@@ -7,8 +7,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"spmap/internal/gen"
@@ -129,6 +129,40 @@ type Table struct {
 	Title  string
 	XLabel string
 	Series []*Series
+}
+
+// TableRow is one point of a Table in long form: one series at one x.
+type TableRow struct {
+	Experiment  string  `json:"experiment"`
+	Series      string  `json:"series"`
+	X           float64 `json:"x"`
+	Improvement float64 `json:"improvement" fmt:"%.6f"`
+	TimeMS      float64 `json:"time_ms" fmt:"%.4f"`
+	Found       float64 `json:"found" fmt:"%.3f"`
+}
+
+// Report returns t in long form, x ascending and the series of one x
+// on adjacent rows in series order; the title names the x axis.
+func (t *Table) Report() Report {
+	var xs []float64
+	for _, s := range t.Series {
+		for _, p := range s.Points {
+			xs = append(xs, p.X)
+		}
+	}
+	slices.Sort(xs)
+	var rows []TableRow
+	for _, x := range slices.Compact(xs) {
+		for _, s := range t.Series {
+			for _, p := range s.Points {
+				if p.X == x {
+					rows = append(rows, TableRow{t.ID, s.Name, x, p.Improvement, p.TimeMS, p.Found})
+					break
+				}
+			}
+		}
+	}
+	return Report{ID: t.ID, Title: t.Title + "; x = " + t.XLabel, Rows: rows}
 }
 
 // runPoint evaluates every algorithm on `count` graphs produced by mk and
@@ -348,17 +382,20 @@ func Fig7(cfg Config) *Table {
 		})
 }
 
-// WFRow is one row of the Table I reproduction.
+// WFRow is one (workflow set, algorithm) row of the Table I
+// reproduction.
 type WFRow struct {
-	Family      string
-	Tasks       int // tasks of the largest instance
-	Improvement map[string]float64
-	TotalTimeMS map[string]float64
+	Set         string  `json:"set"`
+	Tasks       int     `json:"tasks"` // tasks of the set's largest instance
+	Algorithm   string  `json:"algorithm"`
+	Improvement float64 `json:"improvement" fmt:"%.6f"`
+	TotalTimeMS float64 `json:"total_time_ms" fmt:"%.4f"`
 }
 
 // Table1 reproduces the real-world benchmark table (paper Table I):
 // average positive relative improvement and summed execution time per
-// algorithm over each workflow family's instances. bwa and seismology are
+// algorithm over each workflow family's instances, one row per (family,
+// algorithm) in family and then algorithm order. bwa and seismology are
 // included to verify that (as in the paper) no algorithm accelerates
 // them; the paper omits such rows from its table.
 func Table1(cfg Config) []WFRow {
@@ -376,37 +413,31 @@ func Table1(cfg Config) []WFRow {
 	}
 	var rows []WFRow
 	for _, fam := range wf.Families() {
-		row := WFRow{
-			Family:      fam.String(),
-			Improvement: map[string]float64{},
-			TotalTimeMS: map[string]float64{},
-		}
-		count := 0
+		famRows := make([]WFRow, len(algos))
+		tasks := 0
 		for i := 0; i < perFamily; i++ {
 			seed := cfg.Seed + int64(int(fam)*1000+i)
 			rng := rand.New(rand.NewSource(seed))
 			g := wf.Generate(fam, 1+i, rng)
-			if g.NumTasks() > row.Tasks {
-				row.Tasks = g.NumTasks()
-			}
+			tasks = max(tasks, g.NumTasks())
 			ev := model.NewEvaluator(g, p).WithSchedules(cfg.schedules(), seed+1)
 			base := ev.Makespan(mapping.Baseline(g, p))
-			count++
-			for _, a := range algos {
+			for ai, a := range algos {
 				t0 := time.Now()
 				m := a.Run(ev, seed)
 				el := time.Since(t0)
 				ms := ev.Makespan(m)
 				if ms < base && base > 0 {
-					row.Improvement[a.Name] += (base - ms) / base
+					famRows[ai].Improvement += (base - ms) / base
 				}
-				row.TotalTimeMS[a.Name] += float64(el.Microseconds()) / 1000
+				famRows[ai].TotalTimeMS += float64(el.Microseconds()) / 1000
 			}
 		}
-		for _, a := range algos {
-			row.Improvement[a.Name] /= float64(count)
+		for ai, a := range algos {
+			famRows[ai].Set, famRows[ai].Tasks, famRows[ai].Algorithm = fam.String(), tasks, a.Name
+			famRows[ai].Improvement /= float64(perFamily)
 		}
-		rows = append(rows, row)
+		rows = append(rows, famRows...)
 	}
 	return rows
 }
@@ -417,73 +448,4 @@ func steps(from, to, by int) []int {
 		out = append(out, x)
 	}
 	return out
-}
-
-// Print renders a Table as aligned text: an improvement block and an
-// execution-time block.
-func (t *Table) Print(w io.Writer) {
-	fmt.Fprintf(w, "# %s — %s\n", t.ID, t.Title)
-	fmt.Fprintf(w, "\n## relative improvement\n")
-	t.printBlock(w, func(p Point) float64 { return p.Improvement }, "%.3f")
-	fmt.Fprintf(w, "\n## execution time (ms)\n")
-	t.printBlock(w, func(p Point) float64 { return p.TimeMS }, "%.2f")
-}
-
-func (t *Table) printBlock(w io.Writer, get func(Point) float64, format string) {
-	fmt.Fprintf(w, "%-12s", t.XLabel)
-	for _, s := range t.Series {
-		fmt.Fprintf(w, "%14s", s.Name)
-	}
-	fmt.Fprintln(w)
-	// Collect the union of x values.
-	seen := map[float64]bool{}
-	var xs []float64
-	for _, s := range t.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	for _, x := range xs {
-		fmt.Fprintf(w, "%-12g", x)
-		for _, s := range t.Series {
-			val, ok := "", false
-			for _, p := range s.Points {
-				if p.X == x {
-					val, ok = fmt.Sprintf(format, get(p)), true
-					break
-				}
-			}
-			if !ok {
-				val = "-"
-			}
-			fmt.Fprintf(w, "%14s", val)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// PrintTable1 renders the Table I reproduction.
-func PrintTable1(w io.Writer, rows []WFRow) {
-	algos := []string{"HEFT", "PEFT", "NSGAII", "SNFirstFit", "SPFirstFit"}
-	fmt.Fprintf(w, "# table1 — WfCommons-like benchmark sets (improvement / total time)\n\n")
-	fmt.Fprintf(w, "%-14s %6s", "set", "tasks")
-	for _, a := range algos {
-		fmt.Fprintf(w, "%18s", a)
-	}
-	fmt.Fprintln(w)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %6d", r.Family, r.Tasks)
-		for _, a := range algos {
-			fmt.Fprintf(w, "%9.0f%% %6.0fms", 100*r.Improvement[a], r.TotalTimeMS[a])
-		}
-		fmt.Fprintln(w)
-	}
 }

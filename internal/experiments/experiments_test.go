@@ -38,7 +38,9 @@ func checkTable(t *testing.T, tab *Table, wantSeries []string) {
 		}
 	}
 	var sb strings.Builder
-	tab.Print(&sb)
+	if err := tab.Report().Text(&sb); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), tab.ID) {
 		t.Fatalf("%s: rendering lost the id", tab.ID)
 	}
@@ -96,22 +98,24 @@ func TestFig3QuickRestrictsZhouLiu(t *testing.T) {
 }
 
 func TestTable1Quick(t *testing.T) {
-	rows := Table1(tinyCfg())
-	if len(rows) != 9 {
-		t.Fatalf("expected 9 workflow families, got %d", len(rows))
-	}
+	rows := table1Rows()
+	sets := map[string]bool{}
 	for _, r := range rows {
+		sets[r.Set] = true
 		if r.Tasks <= 0 {
-			t.Fatalf("%s: no tasks", r.Family)
+			t.Fatalf("%s: no tasks", r.Set)
 		}
-		for algo, imp := range r.Improvement {
-			if imp < 0 || imp > 1 {
-				t.Fatalf("%s/%s: improvement %v", r.Family, algo, imp)
-			}
+		if r.Improvement < 0 || r.Improvement > 1 {
+			t.Fatalf("%s/%s: improvement %v", r.Set, r.Algorithm, r.Improvement)
 		}
+	}
+	if len(sets) != 9 || len(rows) != 9*5 {
+		t.Fatalf("expected 9 workflow families x 5 algorithms, got %d families in %d rows", len(sets), len(rows))
 	}
 	var sb strings.Builder
-	PrintTable1(&sb, rows)
+	if err := (Report{ID: "table1", Rows: rows}).Text(&sb); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"montage", "epigenomics", "SPFirstFit"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("table rendering missing %q", want)

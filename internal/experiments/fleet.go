@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -44,16 +41,16 @@ type FleetRow struct {
 	Shards        int     `json:"shards"`
 	Cadence       int     `json:"cadence"` // checkpoint every C events (0 = completion only / none)
 	Events        int     `json:"events"`  // events applied across all streams
-	TimeMS        float64 `json:"time_ms"`
-	StreamsPerSec float64 `json:"streams_per_sec"`
-	EventsPerSec  float64 `json:"events_per_sec"`
+	TimeMS        float64 `json:"time_ms" fmt:"%.3f"`
+	StreamsPerSec float64 `json:"streams_per_sec" fmt:"%.1f"`
+	EventsPerSec  float64 `json:"events_per_sec" fmt:"%.1f"`
 	Checkpoints   int     `json:"checkpoints"`
-	CheckpointKB  float64 `json:"checkpoint_kb"` // total encoded checkpoint bytes
+	CheckpointKB  float64 `json:"checkpoint_kb" fmt:"%.1f"` // total encoded checkpoint bytes
 	// Speedup is relative to the section's 1-shard row (shard-sweep
 	// only); OverheadPct is time overhead relative to the no-checkpoint
 	// row (cadence-sweep only).
-	Speedup     float64 `json:"speedup,omitempty"`
-	OverheadPct float64 `json:"overhead_pct,omitempty"`
+	Speedup     float64 `json:"speedup,omitempty" fmt:"%.3f"`
+	OverheadPct float64 `json:"overhead_pct,omitempty" fmt:"%.2f"`
 	// Resumed counts streams restored from a checkpoint; TraceMatches
 	// counts resumed streams whose final trace equals the uninterrupted
 	// reference (resume-verify only; must equal Streams).
@@ -263,54 +260,14 @@ func FleetComparison(cfg Config, storeDir string) ([]FleetRow, error) {
 	return rows, nil
 }
 
-// WriteCSVFleet emits the fleet rows in long form.
-func WriteCSVFleet(w io.Writer, rows []FleetRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"section", "label", "streams", "shards", "cadence", "events",
-		"time_ms", "streams_per_sec", "events_per_sec", "checkpoints", "checkpoint_kb",
-		"speedup", "overhead_pct", "resumed", "trace_matches"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Section, r.Label, fmt.Sprint(r.Streams), fmt.Sprint(r.Shards), fmt.Sprint(r.Cadence),
-			fmt.Sprint(r.Events), fmt.Sprintf("%.3f", r.TimeMS),
-			fmt.Sprintf("%.1f", r.StreamsPerSec), fmt.Sprintf("%.1f", r.EventsPerSec),
-			fmt.Sprint(r.Checkpoints), fmt.Sprintf("%.1f", r.CheckpointKB),
-			fmt.Sprintf("%.3f", r.Speedup), fmt.Sprintf("%.2f", r.OverheadPct),
-			fmt.Sprint(r.Resumed), fmt.Sprint(r.TraceMatches),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSONFleet emits the fleet rows as indented JSON (the shape
-// BENCH_PR8.json records).
-func WriteJSONFleet(w io.Writer, rows []FleetRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// PrintFleet renders the fleet comparison.
-func PrintFleet(w io.Writer, rows []FleetRow) {
-	fmt.Fprintf(w, "# fleet — sharded online replay streams with checkpoint/resume\n\n")
-	fmt.Fprintf(w, "%-14s %-12s %8s %7s %8s %8s %10s %12s %12s %7s %9s\n",
-		"section", "label", "streams", "shards", "cadence", "events",
-		"time_ms", "streams/sec", "ckpts(KB)", "speedup", "overhead%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-12s %8d %7d %8d %8d %10.1f %12.1f %6d(%4.0f) %6.2fx %8.2f%%\n",
-			r.Section, r.Label, r.Streams, r.Shards, r.Cadence, r.Events,
-			r.TimeMS, r.StreamsPerSec, r.Checkpoints, r.CheckpointKB, r.Speedup, r.OverheadPct)
-	}
+// FleetNotes returns the resume-verify summary line of rows (none when
+// the resumed row is missing). CI greps this line, so keep its wording.
+func FleetNotes(rows []FleetRow) []string {
 	for _, r := range rows {
 		if r.Section == "resume-verify" && r.Label == "resumed" {
-			fmt.Fprintf(w, "\nresume-verify: %d/%d resumed traces identical to the uninterrupted reference (%d streams restored from checkpoints)\n",
-				r.TraceMatches, r.Streams, r.Resumed)
+			return []string{fmt.Sprintf("resume-verify: %d/%d resumed traces identical to the uninterrupted reference (%d streams restored from checkpoints)",
+				r.TraceMatches, r.Streams, r.Resumed)}
 		}
 	}
+	return nil
 }

@@ -43,8 +43,9 @@ func TestFleetComparisonQuick(t *testing.T) {
 		}
 	}
 
+	r := Report{ID: "fleet", Rows: rows, Notes: FleetNotes(rows)}
 	var buf bytes.Buffer
-	if err := WriteCSVFleet(&buf, rows); err != nil {
+	if err := r.CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
@@ -56,21 +57,25 @@ func TestFleetComparisonQuick(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteJSONFleet(&buf, rows); err != nil {
+	if err := EncodeJSON(&buf, []Report{r}); err != nil {
 		t.Fatal(err)
 	}
-	var back []FleetRow
+	var back []struct {
+		Rows []FleetRow `json:"rows"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(rows) || back[len(back)-1].TraceMatches != 6 {
-		t.Fatalf("json round-trip: %d rows", len(back))
+	if len(back) != 1 || len(back[0].Rows) != len(rows) || back[0].Rows[len(rows)-1].TraceMatches != 6 {
+		t.Fatalf("json round-trip: %s", buf.String())
 	}
 
 	buf.Reset()
-	PrintFleet(&buf, rows)
-	if !strings.Contains(buf.String(), "6/6 resumed traces identical") {
-		t.Fatalf("print output missing verification line:\n%s", buf.String())
+	if err := r.Text(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\n\nresume-verify: 6/6 resumed traces identical to the uninterrupted reference (6 streams restored from checkpoints)\n") {
+		t.Fatalf("text output missing verification line:\n%s", buf.String())
 	}
 }
 

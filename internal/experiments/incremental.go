@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -32,14 +30,16 @@ import (
 
 // IncrementalRow is one (graph size, strategy) measurement.
 type IncrementalRow struct {
-	Tasks         int
-	Mode          string
-	Moves         int     // candidate evaluations performed
-	Accepted      int     // moves accepted (identical across modes)
-	TimeMS        float64 // wall time of the whole sequence
-	MovesPerSec   float64
-	SpeedupVsFull float64
-	Makespan      float64 // final incumbent makespan (identical across modes)
+	Tasks int    `json:"tasks"`
+	Mode  string `json:"mode"`
+	// Moves counts candidate evaluations; Accepted and Makespan (the
+	// final incumbent's) are identical across modes.
+	Moves         int     `json:"moves"`
+	Accepted      int     `json:"accepted"`
+	TimeMS        float64 `json:"time_ms" fmt:"%.4f"` // wall time of the whole sequence
+	MovesPerSec   float64 `json:"moves_per_sec" fmt:"%.1f"`
+	SpeedupVsFull float64 `json:"speedup_vs_full" fmt:"%.3f"`
+	Makespan      float64 `json:"makespan" fmt:"%.6f"`
 }
 
 // incrementalMoves is the per-size move budget of the comparison.
@@ -151,37 +151,4 @@ func IncrementalComparison(cfg Config) []IncrementalRow {
 		rows = append(rows, fullRow, incRow)
 	}
 	return rows
-}
-
-// WriteCSVIncremental emits the move-throughput comparison in long form.
-func WriteCSVIncremental(w io.Writer, rows []IncrementalRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"tasks", "mode", "moves", "accepted", "time_ms", "moves_per_sec", "speedup_vs_full", "makespan"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			fmt.Sprint(r.Tasks), r.Mode, fmt.Sprint(r.Moves), fmt.Sprint(r.Accepted),
-			fmt.Sprintf("%.4f", r.TimeMS),
-			fmt.Sprintf("%.1f", r.MovesPerSec),
-			fmt.Sprintf("%.3f", r.SpeedupVsFull),
-			fmt.Sprintf("%.6f", r.Makespan),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// PrintIncremental renders the move-throughput comparison.
-func PrintIncremental(w io.Writer, rows []IncrementalRow) {
-	fmt.Fprintf(w, "# incremental — local-search move throughput (single worker, shared move sequence)\n\n")
-	fmt.Fprintf(w, "%-6s %-12s %8s %9s %10s %12s %9s\n",
-		"tasks", "mode", "moves", "accepted", "time_ms", "moves/sec", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %-12s %8d %9d %10.1f %12.0f %8.1fx\n",
-			r.Tasks, r.Mode, r.Moves, r.Accepted, r.TimeMS, r.MovesPerSec, r.SpeedupVsFull)
-	}
 }

@@ -23,18 +23,18 @@ import (
 
 // ParetoRow is one averaged data point of the Pareto comparison.
 type ParetoRow struct {
-	Tasks     int
-	Algorithm string
+	Tasks     int    `json:"tasks"`
+	Algorithm string `json:"algorithm"`
 	// Hypervolume is the front's average hypervolume normalized by the
 	// baseline reference box (1 would dominate the whole box).
-	Hypervolume float64
+	Hypervolume float64 `json:"hypervolume" fmt:"%.6f"`
 	// TimeImprovement and EnergyImprovement are the average relative
 	// improvements of the front's fastest and most efficient points
 	// over the pure-CPU baseline.
-	TimeImprovement   float64
-	EnergyImprovement float64
-	FrontSize         float64
-	TimeMS            float64
+	TimeImprovement   float64 `json:"time_improvement" fmt:"%.6f"`
+	EnergyImprovement float64 `json:"energy_improvement" fmt:"%.6f"`
+	FrontSize         float64 `json:"front_size" fmt:"%.2f"`
+	TimeMS            float64 `json:"time_ms" fmt:"%.4f"`
 }
 
 // paretoAlgo is one named multi-objective driver under test.
@@ -123,44 +123,6 @@ func ParetoComparisonEps(cfg Config, eps float64) []ParetoRow {
 		}
 	}
 	return rows
-}
-
-// PrintPareto renders the Pareto comparison as aligned text.
-func PrintPareto(w io.Writer, rows []ParetoRow) {
-	fmt.Fprintf(w, "# pareto — weighted sweep vs. NSGA-II (equal budgets, random SP graphs)\n\n")
-	fmt.Fprintf(w, "%-8s%-10s%14s%14s%14s%12s%12s\n",
-		"tasks", "algo", "hypervolume", "time_impr", "energy_impr", "front", "time_ms")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8d%-10s%14.4f%14.3f%14.3f%12.1f%12.2f\n",
-			r.Tasks, r.Algorithm, r.Hypervolume, r.TimeImprovement, r.EnergyImprovement,
-			r.FrontSize, r.TimeMS)
-	}
-}
-
-// WriteCSVPareto emits the Pareto comparison in long form.
-func WriteCSVPareto(w io.Writer, rows []ParetoRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"tasks", "algorithm", "hypervolume", "time_improvement", "energy_improvement",
-		"front_size", "time_ms",
-	}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			fmt.Sprint(r.Tasks), r.Algorithm,
-			fmt.Sprintf("%.6f", r.Hypervolume),
-			fmt.Sprintf("%.6f", r.TimeImprovement),
-			fmt.Sprintf("%.6f", r.EnergyImprovement),
-			fmt.Sprintf("%.2f", r.FrontSize),
-			fmt.Sprintf("%.4f", r.TimeMS),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // WriteCSVFront emits one two-objective Pareto front in long form (for

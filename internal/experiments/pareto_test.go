@@ -29,13 +29,16 @@ func TestParetoComparisonQuick(t *testing.T) {
 			t.Fatalf("%s n=%d: empty fronts on average", r.Algorithm, r.Tasks)
 		}
 	}
+	r := Report{ID: "pareto", Rows: rows}
 	var sb strings.Builder
-	PrintPareto(&sb, rows)
+	if err := r.Text(&sb); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), "hypervolume") || !strings.Contains(sb.String(), "NSGA2") {
 		t.Fatal("pareto rendering incomplete")
 	}
 	var csv strings.Builder
-	if err := WriteCSVPareto(&csv, rows); err != nil {
+	if err := r.CSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(csv.String(), "\n"); got != len(rows)+1 {

@@ -17,8 +17,7 @@ import (
 // with the racing combined mapper: the full portfolio runs at exactly
 // the GA's evaluation budget against each single member granted the
 // same total budget — the equal-budget portfolio-vs-best-single
-// comparison of the PR 4 acceptance criteria, with CSV output through
-// the shared Table exporter.
+// comparison.
 
 // algoPortfolio races the full portfolio at the equal-budget anchor.
 func algoPortfolio(cfg Config) Algorithm {

@@ -34,7 +34,7 @@ func TestPortfolioComparisonQuick(t *testing.T) {
 		}
 	}
 	var csv strings.Builder
-	if err := tab.WriteCSV(&csv); err != nil {
+	if err := tab.Report().CSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv.String(), "portfolio,Portfolio,") {

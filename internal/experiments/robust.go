@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -47,26 +44,26 @@ var RobustNoise = eval.NoiseModel{
 // comparison: one degrade-heavy scenario family (Events degrade events
 // per world).
 type RobustRow struct {
-	Tasks   int
-	Events  int
-	Samples int
-	Worlds  int
+	Tasks   int `json:"tasks"`
+	Events  int `json:"events"`
+	Samples int `json:"samples"`
+	Worlds  int `json:"worlds"`
 	// NominalMean/NominalTail and RobustMean/RobustTail are the mean and
 	// p95 makespans of the two mappings across the degraded worlds,
 	// averaged over the graph pool (normalized by the undegraded nominal
 	// makespan of the nominal mapping, so 1.0 = no degradation impact).
-	NominalMean float64
-	NominalTail float64
-	RobustMean  float64
-	RobustTail  float64
+	NominalMean float64 `json:"nominal_mean" fmt:"%.6f"`
+	NominalTail float64 `json:"nominal_tail" fmt:"%.6f"`
+	RobustMean  float64 `json:"robust_mean" fmt:"%.6f"`
+	RobustTail  float64 `json:"robust_tail" fmt:"%.6f"`
 	// TailImprovement and MeanImprovement are the average relative
 	// improvements of the robust mapping over the nominal one under
 	// degradation; Wins is the fraction of graphs where the robust
 	// mapping's degraded tail is strictly better.
-	TailImprovement float64
-	MeanImprovement float64
-	Wins            float64
-	TimeMS          float64
+	TailImprovement float64 `json:"tail_improvement" fmt:"%.6f"`
+	MeanImprovement float64 `json:"mean_improvement" fmt:"%.6f"`
+	Wins            float64 `json:"wins" fmt:"%.3f"`
+	TimeMS          float64 `json:"time_ms" fmt:"%.4f"`
 }
 
 // degradeWorlds draws one degrade-heavy scenario family: nWorlds
@@ -234,15 +231,15 @@ func RobustComparisonSamples(cfg Config, samples int) []RobustRow {
 // function of the sample count, against the nominal single-simulation
 // batch path.
 type RobustCostRow struct {
-	Samples int
+	Samples int `json:"samples"`
 	// BatchUS and NominalUS are per-candidate microseconds of the robust
 	// and the plain makespan batch path at batch size 64.
-	BatchUS   float64
-	NominalUS float64
+	BatchUS   float64 `json:"robust_us" fmt:"%.2f"`
+	NominalUS float64 `json:"nominal_us" fmt:"%.2f"`
 	// Overhead is BatchUS / (NominalUS * Samples): 1.0 means the S-sample
 	// robust pass costs exactly S nominal passes (no batching win), below
 	// 1.0 the batch fan-out amortizes.
-	Overhead float64
+	Overhead float64 `json:"overhead" fmt:"%.4f"`
 }
 
 // RobustCost measures the robust objective's Monte-Carlo batching cost
@@ -294,73 +291,4 @@ func RobustCost(cfg Config) []RobustCostRow {
 		})
 	}
 	return rows
-}
-
-// PrintRobust renders the robust comparison as aligned text.
-func PrintRobust(w io.Writer, rows []RobustRow) {
-	fmt.Fprintf(w, "# robust — nominal vs. uncertainty-aware mapping on degrade-heavy scenario families\n")
-	fmt.Fprintf(w, "# (makespans normalized by the undegraded nominal makespan; tail = p95 over worlds)\n\n")
-	fmt.Fprintf(w, "%-8s%-8s%-9s%-8s%12s%12s%12s%12s%11s%11s%7s%10s\n",
-		"tasks", "events", "samples", "worlds", "nom_mean", "nom_tail", "rob_mean", "rob_tail",
-		"tail_impr", "mean_impr", "wins", "time_ms")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8d%-8d%-9d%-8d%12.4f%12.4f%12.4f%12.4f%10.1f%%%10.1f%%%7.2f%10.1f\n",
-			r.Tasks, r.Events, r.Samples, r.Worlds, r.NominalMean, r.NominalTail,
-			r.RobustMean, r.RobustTail, 100*r.TailImprovement, 100*r.MeanImprovement,
-			r.Wins, r.TimeMS)
-	}
-}
-
-// PrintRobustCost renders the Monte-Carlo cost sweep as aligned text.
-func PrintRobustCost(w io.Writer, rows []RobustCostRow) {
-	fmt.Fprintf(w, "\n# robust — Monte-Carlo batching cost (batch 64, per-candidate µs)\n\n")
-	fmt.Fprintf(w, "%-9s%12s%12s%12s\n", "samples", "robust_us", "nominal_us", "overhead")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-9d%12.1f%12.2f%12.3f\n", r.Samples, r.BatchUS, r.NominalUS, r.Overhead)
-	}
-}
-
-// WriteCSVRobust emits the robust comparison in long form.
-func WriteCSVRobust(w io.Writer, rows []RobustRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"tasks", "events", "samples", "worlds", "nominal_mean", "nominal_tail",
-		"robust_mean", "robust_tail", "tail_improvement", "mean_improvement",
-		"wins", "time_ms",
-	}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			fmt.Sprint(r.Tasks), fmt.Sprint(r.Events), fmt.Sprint(r.Samples), fmt.Sprint(r.Worlds),
-			fmt.Sprintf("%.6f", r.NominalMean), fmt.Sprintf("%.6f", r.NominalTail),
-			fmt.Sprintf("%.6f", r.RobustMean), fmt.Sprintf("%.6f", r.RobustTail),
-			fmt.Sprintf("%.6f", r.TailImprovement), fmt.Sprintf("%.6f", r.MeanImprovement),
-			fmt.Sprintf("%.3f", r.Wins), fmt.Sprintf("%.4f", r.TimeMS),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteCSVRobustCost emits the Monte-Carlo batching cost sweep.
-func WriteCSVRobustCost(w io.Writer, rows []RobustCostRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"samples", "robust_us", "nominal_us", "overhead"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			fmt.Sprint(r.Samples), fmt.Sprintf("%.2f", r.BatchUS),
-			fmt.Sprintf("%.2f", r.NominalUS), fmt.Sprintf("%.4f", r.Overhead),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,28 +46,28 @@ type ServiceRow struct {
 	Mode        string  `json:"mode"` // coalesced | direct
 	Requests    int     `json:"requests"`
 	Ops         int64   `json:"ops"` // candidate evaluations submitted
-	TimeMS      float64 `json:"time_ms"`
-	Throughput  float64 `json:"throughput_rps"`
+	TimeMS      float64 `json:"time_ms" fmt:"%.3f"`
+	Throughput  float64 `json:"throughput_rps" fmt:"%.1f"`
 	// Client-observed request latency percentiles, µs.
 	P50US int64 `json:"p50_us"`
 	P90US int64 `json:"p90_us"`
 	P99US int64 `json:"p99_us"`
 	MaxUS int64 `json:"max_us"`
 	// Mean server-side phase timings per request, µs.
-	QueueUS   float64 `json:"queue_us"`
-	BatchUS   float64 `json:"batch_us"`
-	EvalUS    float64 `json:"eval_us"`
-	RespondUS float64 `json:"respond_us"`
+	QueueUS   float64 `json:"queue_us" fmt:"%.1f"`
+	BatchUS   float64 `json:"batch_us" fmt:"%.1f"`
+	EvalUS    float64 `json:"eval_us" fmt:"%.1f"`
+	RespondUS float64 `json:"respond_us" fmt:"%.1f"`
 	// Coalescing and cache telemetry for the run.
 	Flushes      int64   `json:"flushes"`
-	AvgFlush     float64 `json:"avg_flush"`
+	AvgFlush     float64 `json:"avg_flush" fmt:"%.1f"`
 	CrossFlushes int64   `json:"cross_flushes"`
 	MaxFlush     int64   `json:"max_flush"`
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
 	// SpeedupVsDirect is this row's throughput over the direct row at
 	// the same concurrency (1 on direct rows).
-	SpeedupVsDirect float64 `json:"speedup_vs_direct"`
+	SpeedupVsDirect float64 `json:"speedup_vs_direct" fmt:"%.3f"`
 }
 
 // serviceSchedules is the per-request schedule-order count. The
@@ -449,60 +448,5 @@ func serviceDeterminismGate(cfg Config, gj json.RawMessage, schedules int, safe 
 			wg.Wait()
 			svc.Close()
 		}
-	}
-}
-
-// WriteCSVService emits the load sweep in long form.
-func WriteCSVService(w io.Writer, rows []ServiceRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"concurrency", "mode", "requests", "ops", "time_ms", "throughput_rps",
-		"p50_us", "p90_us", "p99_us", "max_us",
-		"queue_us", "batch_us", "eval_us", "respond_us",
-		"flushes", "avg_flush", "cross_flushes", "max_flush",
-		"cache_hits", "cache_misses", "speedup_vs_direct",
-	}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			fmt.Sprint(r.Concurrency), r.Mode, fmt.Sprint(r.Requests), fmt.Sprint(r.Ops),
-			fmt.Sprintf("%.3f", r.TimeMS), fmt.Sprintf("%.1f", r.Throughput),
-			fmt.Sprint(r.P50US), fmt.Sprint(r.P90US), fmt.Sprint(r.P99US), fmt.Sprint(r.MaxUS),
-			fmt.Sprintf("%.1f", r.QueueUS), fmt.Sprintf("%.1f", r.BatchUS),
-			fmt.Sprintf("%.1f", r.EvalUS), fmt.Sprintf("%.1f", r.RespondUS),
-			fmt.Sprint(r.Flushes), fmt.Sprintf("%.1f", r.AvgFlush),
-			fmt.Sprint(r.CrossFlushes), fmt.Sprint(r.MaxFlush),
-			fmt.Sprint(r.CacheHits), fmt.Sprint(r.CacheMisses),
-			fmt.Sprintf("%.3f", r.SpeedupVsDirect),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSONService emits the load sweep as indented JSON (the
-// BENCH_PR7.json format).
-func WriteJSONService(w io.Writer, rows []ServiceRow) error {
-	b, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
-
-// PrintService renders the load sweep.
-func PrintService(w io.Writer, rows []ServiceRow) {
-	fmt.Fprintf(w, "# service — spmapd load generator (%d-op /v1/evaluate requests, determinism-gated)\n\n", serviceOpsPerRequest)
-	fmt.Fprintf(w, "%-12s %-10s %9s %11s %9s %9s %9s %9s %9s %9s %8s\n",
-		"concurrency", "mode", "req/s", "p50_us", "p90_us", "p99_us", "queue_us", "batch_us", "eval_us", "flushes", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12d %-10s %9.0f %11d %9d %9d %9.0f %9.0f %9.0f %9d %7.2fx\n",
-			r.Concurrency, r.Mode, r.Throughput, r.P50US, r.P90US, r.P99US,
-			r.QueueUS, r.BatchUS, r.EvalUS, r.Flushes, r.SpeedupVsDirect)
 	}
 }

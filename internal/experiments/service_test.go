@@ -53,8 +53,9 @@ func TestServiceRowsSerialization(t *testing.T) {
 			Throughput: 163840, Flushes: 32, AvgFlush: 128, CrossFlushes: 30,
 			MaxFlush: 128, SpeedupVsDirect: 2},
 	}
+	r := Report{ID: "service", Rows: rows}
 	var buf bytes.Buffer
-	if err := WriteCSVService(&buf, rows); err != nil {
+	if err := r.CSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
@@ -66,21 +67,25 @@ func TestServiceRowsSerialization(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteJSONService(&buf, rows); err != nil {
+	if err := EncodeJSON(&buf, []Report{r}); err != nil {
 		t.Fatal(err)
 	}
-	var back []ServiceRow
+	var back []struct {
+		Rows []ServiceRow `json:"rows"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back[1].SpeedupVsDirect != 2 || back[0].Throughput != 81920 {
+	if len(back) != 1 || len(back[0].Rows) != 2 || back[0].Rows[1].SpeedupVsDirect != 2 || back[0].Rows[0].Throughput != 81920 {
 		t.Fatalf("json round-trip: %+v", back)
 	}
 
 	buf.Reset()
-	PrintService(&buf, rows)
+	if err := r.Text(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
-	if !strings.Contains(out, "coalesced") || !strings.Contains(out, "2.00x") {
-		t.Fatalf("print output:\n%s", out)
+	if !strings.Contains(out, "coalesced") || !strings.Contains(out, "2.000") {
+		t.Fatalf("text output:\n%s", out)
 	}
 }

@@ -164,13 +164,8 @@ type Stats struct {
 	Energy float64
 }
 
-// Map runs local search from the pure-CPU baseline on (g, p).
-func Map(g *graph.DAG, p *platform.Platform, opt Options) (mapping.Mapping, Stats, error) {
-	return MapWithEvaluator(model.NewEvaluator(g, p), opt)
-}
-
-// MapWithEvaluator is Map with a caller-supplied evaluator (to control
-// the schedule set and share the compiled engine across runs).
+// MapWithEvaluator runs local search under ev's cost function from
+// opt.Init, or from the pure-CPU baseline when Init is nil.
 func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats, error) {
 	return search(ev, opt)
 }

@@ -37,7 +37,13 @@ type Evaluator struct {
 	G *graph.DAG
 	P *platform.Platform
 
-	exec [][]float64 // [device][task] execution time
+	// exec is the [device][task] execution-time table, and Feasible
+	// keeps its own area scratch. Both duplicate what the compiled
+	// kernel builds, on purpose: they feed ReferenceMakespan and Energy,
+	// the oracles the engine fuzzers check the kernel against, so a
+	// layout or indexing bug in the kernel's compile step cannot hide in
+	// both copies. The cost is one n×m table per evaluator.
+	exec [][]float64
 	bfs  []graph.NodeID
 	// orders is the fixed schedule set the cost function minimizes over:
 	// the BFS order plus any random topological orders added by
@@ -349,29 +355,12 @@ func (e *Evaluator) ReferenceMakespan(m mapping.Mapping) float64 {
 	return best
 }
 
-// DeterministicMakespan evaluates only the breadth-first schedule,
-// regardless of the configured schedule set.
-func (e *Evaluator) DeterministicMakespan(m mapping.Mapping) float64 {
-	return e.MakespanOrder(m, e.bfs)
-}
-
 // BaselineMakespan returns the makespan of the pure-CPU (default
 // device) mapping under the evaluator's schedule set, cached after the
 // first call (experiment sweeps query it once per mapper run).
 func (e *Evaluator) BaselineMakespan() float64 {
 	ms, _ := e.baselineObjectives()
 	return ms
-}
-
-// TaskTimes exposes the per-task start and finish times of the most recent
-// MakespanOrder call (for schedule inspection and examples). The returned
-// slices are owned by the evaluator.
-func (e *Evaluator) TaskTimes() (start, finish []float64) { return e.start, e.finish }
-
-// LowerBound returns a mapping-independent makespan lower bound: the
-// critical path using each task's fastest device, ignoring transfers.
-func (e *Evaluator) LowerBound() float64 {
-	return e.G.CriticalPathWork(func(v graph.NodeID) float64 { return e.BestExec(v) })
 }
 
 // RelativeImprovement computes the paper's quality metric for a mapping

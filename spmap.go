@@ -24,12 +24,11 @@
 //     mappers (§III), in Basic, GammaThreshold and FirstFit variants.
 //   - MapHEFT / MapPEFT — the list-scheduling baselines.
 //   - MapGenetic — the single-objective NSGA-II baseline.
-//   - MapLocalSearch — metaheuristic extension beyond the paper:
-//     simulated annealing or a batched large-neighborhood hill-climber
-//     over device assignments, driven by the evaluation engine's batch
-//     prefix-resume path.
-//   - Refine — local-search polishing of any other mapper's output
-//     (decomposition, HEFT/PEFT, GA); never returns a worse mapping.
+//   - Refine — local search beyond the paper (simulated annealing or a
+//     batched large-neighborhood hill-climber over device assignments)
+//     polishing any mapping: another mapper's output, or
+//     BaselineMapping to search from the pure-CPU start. It never
+//     returns a worse mapping.
 //   - MapPareto — multi-objective (makespan x energy) mapping beyond
 //     the paper (§II-A sketches the transfer): a weighted local-search
 //     sweep or a true two-objective NSGA-II over the engine's
@@ -90,8 +89,8 @@
 // deterministic regardless of scheduling; the decomposition mappers,
 // the GA and the local-search mappers evaluate their candidate sets
 // this way by default. In particular, every stochastic mapper
-// (MapGenetic, MapLocalSearch, Refine) is reproducible: a fixed Seed
-// yields an identical mapping and stats for any Workers value.
+// (MapGenetic, Refine) is reproducible: a fixed Seed yields an
+// identical mapping and stats for any Workers value.
 //
 // Single-objective local search and the GammaThreshold/FirstFit
 // look-ahead loop of the decomposition mappers additionally evaluate
@@ -103,9 +102,9 @@
 // materialized mapping and zero steady-state allocations. Batches and
 // sessions are the engine's only two ways of scoring a candidate. The
 // session is an engine-internal fast path: it changes no spmap-level
-// API or result, only the wall-clock cost of MapLocalSearch, Refine,
-// the SP/single-node FirstFit and GammaThreshold mappers and the repair
-// passes built on them.
+// API or result, only the wall-clock cost of Refine, the SP/single-node
+// FirstFit and GammaThreshold mappers and the repair passes built on
+// them.
 package spmap
 
 import (
@@ -129,7 +128,6 @@ import (
 	"spmap/internal/pareto"
 	"spmap/internal/platform"
 	"spmap/internal/portfolio"
-	"spmap/internal/service"
 	"spmap/internal/sp"
 	"spmap/internal/wf"
 )
@@ -295,18 +293,18 @@ func MapGenetic(g *DAG, p *Platform, opt GAOptions) (Mapping, GAStats) {
 	return ga.Map(g, p, opt)
 }
 
-// LocalSearchOptions configure MapLocalSearch and Refine. Seed and
-// Workers are explicit: for a fixed Seed the result (mapping, makespan
-// and stats) is identical across runs and across any Workers value —
-// random draws happen on the calling goroutine in a fixed order and
-// batch results are index-aligned, so no reduction depends on goroutine
-// scheduling.
+// LocalSearchOptions configure Refine. Seed and Workers are explicit:
+// for a fixed Seed the result (mapping, makespan and stats) is
+// identical across runs and across any Workers value — random draws
+// happen on the calling goroutine in a fixed order and batch results
+// are index-aligned, so no reduction depends on goroutine scheduling.
 type LocalSearchOptions = localsearch.Options
 
 // LocalSearchStats reports local-search effort and outcome.
 type LocalSearchStats = localsearch.Stats
 
-// LocalSearchAlgorithm selects the search scheme of MapLocalSearch.
+// LocalSearchAlgorithm selects the search scheme of Refine
+// (LocalSearchOptions.Algorithm).
 type LocalSearchAlgorithm = localsearch.Algorithm
 
 // Local-search schemes. Both search over single-task moves, edge
@@ -321,16 +319,10 @@ const (
 	HillClimb = localsearch.HillClimb
 )
 
-// MapLocalSearch runs local search (simulated annealing or the batched
-// hill-climber) from the pure-CPU baseline. The result is never worse
-// than the baseline mapping.
-func MapLocalSearch(g *DAG, p *Platform, opt LocalSearchOptions) (Mapping, LocalSearchStats, error) {
-	return localsearch.Map(g, p, opt)
-}
-
-// Refine polishes an existing mapping — any mapper's output — with
-// local search under ev's cost function. The result is never worse
-// than the (area-repaired) input mapping.
+// Refine polishes an existing mapping — any mapper's output, or
+// BaselineMapping for a search from the pure-CPU start — with local
+// search under ev's cost function. The result is never worse than the
+// (area-repaired) input mapping.
 func Refine(ev *Evaluator, m Mapping, opt LocalSearchOptions) (Mapping, LocalSearchStats, error) {
 	return localsearch.Refine(ev, m, opt)
 }
@@ -342,14 +334,6 @@ type ParetoPoint = pareto.Point
 // ParetoFront is a set of mutually non-dominated (makespan, energy)
 // points sorted by ascending makespan.
 type ParetoFront = pareto.Front
-
-// ParetoArchive is the bounded ε-dominance archive behind MapPareto,
-// exported for callers that harvest fronts from their own search loops.
-type ParetoArchive = pareto.Archive
-
-// NewParetoArchive returns an empty ε-dominance archive (eps = 0 keeps
-// the exact front).
-func NewParetoArchive(eps float64) *ParetoArchive { return pareto.NewArchive(eps) }
 
 // ParetoAlgorithm selects the multi-objective driver of MapPareto.
 type ParetoAlgorithm int
@@ -434,19 +418,7 @@ func MapParetoWithEvaluator(ev *Evaluator, opt ParetoOptions) (ParetoFront, Pare
 	stats := ParetoStats{Algorithm: opt.Algorithm}
 	switch opt.Algorithm {
 	case ParetoNSGA2:
-		// Derive (population, generations) from the evaluation budget:
-		// the paper's population of 100 once the budget carries it, a
-		// smaller population (still >= 4) below.
-		pop := ga.DefaultPopulation
-		if budget < 2*pop {
-			if pop = budget / 8; pop < 4 {
-				pop = 4
-			}
-		}
-		gens := budget/pop - 1
-		if gens < 1 {
-			gens = 1
-		}
+		pop, gens := nsga2Shape(budget)
 		front, st := ga.MapParetoWithEvaluator(ev, ga.ParetoOptions{
 			Population: pop, Generations: gens,
 			Seed: opt.Seed, Workers: opt.Workers, Eps: opt.Eps,
@@ -480,6 +452,19 @@ func MapParetoWithEvaluator(ev *Evaluator, opt ParetoOptions) (ParetoFront, Pare
 	}
 }
 
+// nsga2Shape derives NSGA-II's (population, generations) from an
+// evaluation budget: the paper's population of 100 once the budget
+// carries it, a smaller population (still >= 4) below.
+func nsga2Shape(budget int) (pop, gens int) {
+	pop = ga.DefaultPopulation
+	if budget < 2*pop {
+		if pop = budget / 8; pop < 4 {
+			pop = 4
+		}
+	}
+	return pop, max(budget/pop-1, 1)
+}
+
 // NoiseModel describes multiplicative stochastic perturbations of the
 // cost model — per-(task, device) and common-mode per-device
 // execution-time factors plus per-edge transfer-size factors — used by
@@ -498,16 +483,12 @@ const (
 	NoiseUniform = eval.NoiseUniform
 )
 
-// Objective is one minimized batch objective of the evaluation engine's
-// vector API (Engine.EvaluateBatchVec); see eval.BuildObjective for the
-// registry of named objectives ("makespan", "energy", "robust",
-// "robust-mean").
-type Objective = eval.Objective
-
-// DefaultRobustSamples is MapRobust's default Monte-Carlo sample count.
+// DefaultRobustSamples is MapRobustWithEvaluator's default Monte-Carlo
+// sample count.
 const DefaultRobustSamples = 32
 
-// RobustOptions configure MapRobust; zero values select the defaults.
+// RobustOptions configure MapRobustWithEvaluator; zero values select
+// the defaults.
 type RobustOptions struct {
 	// Noise is the stochastic cost model the robust objective samples.
 	// The zero model is valid but degenerate (no perturbation).
@@ -531,7 +512,7 @@ type RobustOptions struct {
 	Budget int
 }
 
-// RobustStats report MapRobust effort and outcome.
+// RobustStats report MapRobustWithEvaluator effort and outcome.
 type RobustStats struct {
 	// Evaluations counts evaluated candidates (each one nominal
 	// simulation plus Samples perturbed ones); Samples echoes the
@@ -549,21 +530,16 @@ type RobustStats struct {
 	BestRobust   float64
 }
 
-// MapRobust maps (g, p) under the three-objective (makespan, energy,
-// tail makespan) model: NSGA-II over the engine's objective-vector
-// batch path, where the third objective is the Tail quantile of the
-// candidate's makespan across Samples Monte-Carlo perturbed cost worlds
-// drawn from Noise. It returns the ε-dominance front of time × energy ×
-// robustness trade-offs; the min-robust point is the uncertainty-hedged
-// mapping (compare experiments.RobustComparison). The front is
-// deterministic for a fixed (Seed, Noise, Samples) regardless of
-// Workers and cache configuration.
-func MapRobust(g *DAG, p *Platform, opt RobustOptions) (ParetoFront, RobustStats, error) {
-	return MapRobustWithEvaluator(model.NewEvaluator(g, p), opt)
-}
-
-// MapRobustWithEvaluator is MapRobust with a caller-supplied evaluator
-// (to control the schedule set and share the compiled engine).
+// MapRobustWithEvaluator maps ev's instance under the three-objective
+// (makespan, energy, tail makespan) model: NSGA-II over the engine's
+// objective-vector batch path, where the third objective is the Tail
+// quantile of the candidate's makespan across Samples Monte-Carlo
+// perturbed cost worlds drawn from Noise; ev fixes the schedule set
+// and shares its compiled engine. It returns the ε-dominance front of
+// time × energy × robustness trade-offs; the min-robust point is the
+// uncertainty-hedged mapping (compare experiments.RobustComparison).
+// The front is deterministic for a fixed (Seed, Noise, Samples)
+// regardless of Workers and cache configuration.
 func MapRobustWithEvaluator(ev *Evaluator, opt RobustOptions) (ParetoFront, RobustStats, error) {
 	samples := opt.Samples
 	if samples == 0 {
@@ -577,20 +553,11 @@ func MapRobustWithEvaluator(ev *Evaluator, opt RobustOptions) (ParetoFront, Robu
 	if budget <= 0 {
 		budget = 4200
 	}
-	pop := ga.DefaultPopulation
-	if budget < 2*pop {
-		if pop = budget / 8; pop < 4 {
-			pop = 4
-		}
-	}
-	gens := budget/pop - 1
-	if gens < 1 {
-		gens = 1
-	}
+	pop, gens := nsga2Shape(budget)
 	front, st := ga.MapParetoWithEvaluator(ev, ga.ParetoOptions{
 		Population: pop, Generations: gens,
 		Seed: opt.Seed, Workers: opt.Workers, Eps: opt.Eps,
-		Objectives: []Objective{
+		Objectives: []eval.Objective{
 			eval.MakespanObjective(), eval.EnergyObjective(), robust,
 		},
 	})
@@ -904,39 +871,3 @@ const (
 func GenerateWorkflow(f WorkflowFamily, scale int, rng *rand.Rand) *DAG {
 	return wf.Generate(f, scale, rng)
 }
-
-// ServiceOptions configure a mapping service: the default platform,
-// evaluation worker count, batch coalescing (max batch size and wait),
-// cache bound, warm-instance table size, and request caps. The zero
-// value selects production defaults; NoCoalesce disables cross-request
-// batch coalescing (every request then evaluates directly).
-type ServiceOptions = service.Options
-
-// MappingService is spmapd's embeddable core: a long-running HTTP
-// mapping service holding warm per-(graph, platform, schedules, seed)
-// state — compiled simulation kernel, bounded evaluation cache, and a
-// coalescing batcher that merges candidate evaluations from concurrent
-// requests into shared engine batches. Endpoints: POST /v1/map,
-// /v1/refine, /v1/evaluate (whole-mapping or patch-form candidates),
-// /v1/replay, /v1/snapshot (capture live replay state as a
-// content-addressed handle, or resume a stored snapshot and apply
-// further events); GET /healthz and /v1/stats (JSON, or CSV with
-// ?format=csv). Responses are byte-deterministic for a fixed (request,
-// seed, workers) tuple regardless of batching mode or flush
-// interleaving. Serve Handler() from any http.Server; Close drains the
-// batchers.
-type MappingService = service.Service
-
-// ServiceStats is a telemetry snapshot of a mapping service: totals,
-// per-instance coalescing/cache counters, and the per-request timing
-// ring.
-type ServiceStats = service.Stats
-
-// ServiceTiming is one request's phase breakdown (queue, batch wait,
-// evaluation, respond — microseconds), as embedded in responses on
-// request ("timing": true) and listed by /v1/stats.
-type ServiceTiming = service.Timing
-
-// NewMappingService builds a mapping service ready to serve. See
-// cmd/spmapd for the standalone daemon wrapping it.
-func NewMappingService(opt ServiceOptions) *MappingService { return service.New(opt) }
