@@ -243,7 +243,7 @@ func TestMapperDeterminismMatrix(t *testing.T) {
 			robust, err := eval.NewRobustObjective(eval.NoiseModel{
 				Kind: eval.NoiseLognormal, ExecSigma: 0.2, DeviceSigma: 0.1,
 				TransferSigma: 0.15, Seed: 7,
-			}, 6, 0.9, eval.RobustTail)
+			}, 6, 0.9)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,10 +28,16 @@ type BatcherOptions struct {
 // on a channel and are flushed to one runBatchCtx call either when
 // MaxBatch of them are pending or MaxWait after the first arrived,
 // whichever comes first. Each submitted op carries its own cutoff and a
-// private response channel, so results are delivered per op and are
-// bit-identical to what the direct EvaluateBatch path would return:
-// coalescing changes which flush carries an op, never what the op
-// evaluates to. Cross-request amortization comes from three places:
+// private response channel, so results are delivered per op under the
+// direct EvaluateBatch path's cutoff contract: a value at or below the
+// op's cutoff is bit-identical to the direct result, and a value above
+// it stays above it on both paths but is a lower-bound certificate
+// whose magnitude depends on the flush that carries the op (a flush
+// records a shared base's prefix only when enough of its ops share
+// that base, so an op that rides a small flush is replayed in full
+// where the direct batch resumes it from the prefix). Coalescing
+// changes which flush carries an op, never a result a caller may act
+// on. Cross-request amortization comes from three places:
 // wider batches keep the engine's worker pool busy instead of paying
 // fan-out per tiny request, one flush records at most one shared-base
 // prefix, and a shared cache is consulted once per distinct mapping per

@@ -129,10 +129,11 @@ func (e *Engine) WithWorkers(w int) *Engine {
 // cache whose EvaluateBatch / EvaluateBatchCtx / EvaluateBatchVec calls
 // are routed through b, coalescing them with the batch calls of every
 // other goroutine (and, in the mapping service, every other request)
-// sharing the batcher into single underlying batch runs. Results are
-// bit-identical to the direct path: each op keeps its own cutoff and
-// the per-op evaluation is the same computation regardless of which
-// flush carries it. Only the batch entry points coalesce — single-op
+// sharing the batcher into single underlying batch runs. Each op keeps
+// its own cutoff: results at or below it are bit-identical to the
+// direct path, and results above it stay above it, though their
+// lower-bound magnitude may differ with the flush that carries the op
+// (see Batcher). Only the batch entry points coalesce — single-op
 // calls (Makespan, Evaluate, Incremental sessions) stay direct, since
 // blocking a serial search loop on the flush deadline would cost
 // latency without amortizing anything.
@@ -245,7 +246,7 @@ func (e *Engine) Evaluate(op Op, cutoff float64) float64 {
 // scheduling — so deterministic reductions (argmin with index
 // tie-breaking, GA selection, ...) stay deterministic. On an engine
 // derived via WithBatcher the ops are coalesced with other callers'
-// batches (same per-op results, see Batcher).
+// batches (same results at or below the cutoff, see Batcher).
 func (e *Engine) EvaluateBatch(ops []Op, cutoff float64) []float64 {
 	out := make([]float64, len(ops))
 	e.batchCore(nil, ops, cutoff, out, nil)

@@ -2,13 +2,11 @@ package eval_test
 
 // Tests of the vector objective API: the regression guard pinning
 // EvaluateBatchVec's fused (makespan, energy) columns bit-identical to
-// EvaluateBatch and to the reference energy, plus the objective
-// registry.
+// EvaluateBatch and to the reference energy.
 
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"spmap/internal/eval"
@@ -28,7 +26,7 @@ import (
 // single-column calls.
 func TestEvaluateBatchVecFusedColumns(t *testing.T) {
 	objs := []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}
-	robust, err := eval.NewRobustObjective(eval.NoiseModel{Kind: eval.NoiseLognormal, DeviceSigma: 0.2, Seed: 3}, 3, 0.9, eval.RobustTail)
+	robust, err := eval.NewRobustObjective(eval.NoiseModel{Kind: eval.NoiseLognormal, DeviceSigma: 0.2, Seed: 3}, 3, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,64 +97,4 @@ func TestEvaluateBatchVecEmpty(t *testing.T) {
 	if len(cols) != 1 || len(cols[0]) != 0 {
 		t.Fatalf("empty ops: got %v", cols)
 	}
-}
-
-func TestObjectiveRegistry(t *testing.T) {
-	names := eval.ObjectiveNames()
-	for _, want := range []string{"energy", "makespan", "robust", "robust-mean"} {
-		found := false
-		for _, n := range names {
-			found = found || n == want
-		}
-		if !found {
-			t.Errorf("objective %q not registered (have %v)", want, names)
-		}
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("ObjectiveNames not sorted: %v", names)
-		}
-	}
-
-	if o, err := eval.BuildObjective("makespan", eval.ObjectiveParams{}); err != nil || o.Name() != "makespan" {
-		t.Fatalf("build makespan: %v, %v", o, err)
-	}
-	if o, err := eval.BuildObjective("energy", eval.ObjectiveParams{}); err != nil || o.Name() != "energy" {
-		t.Fatalf("build energy: %v, %v", o, err)
-	}
-	params := eval.ObjectiveParams{
-		Noise:   eval.NoiseModel{Kind: eval.NoiseLognormal, DeviceSigma: 0.3, Seed: 1},
-		Samples: 8, Tail: 0.9,
-	}
-	for _, name := range []string{"robust", "robust-mean"} {
-		o, err := eval.BuildObjective(name, params)
-		if err != nil || o.Name() != name {
-			t.Fatalf("build %s: %v, %v", name, o, err)
-		}
-	}
-	// The registry propagates builder validation.
-	bad := params
-	bad.Samples = 0
-	if _, err := eval.BuildObjective("robust", bad); err == nil {
-		t.Fatal("robust with 0 samples built")
-	}
-	if _, err := eval.BuildObjective("no-such-objective", eval.ObjectiveParams{}); err == nil ||
-		!strings.Contains(err.Error(), "unknown objective") {
-		t.Fatalf("unknown objective: %v", err)
-	}
-}
-
-func TestRegisterObjectiveDuplicatePanics(t *testing.T) {
-	name := "objective-test-duplicate"
-	eval.RegisterObjective(name, func(eval.ObjectiveParams) (eval.Objective, error) {
-		return eval.MakespanObjective(), nil
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	eval.RegisterObjective(name, func(eval.ObjectiveParams) (eval.Objective, error) {
-		return eval.MakespanObjective(), nil
-	})
 }

@@ -11,33 +11,21 @@ import (
 // DefaultTail is the robust objective's default tail quantile (p95).
 const DefaultTail = 0.95
 
-// RobustStat selects which Monte-Carlo aggregate a RobustObjective
-// reports as its objective value.
-type RobustStat int
-
-// Aggregates.
-const (
-	// RobustTail reports the tail quantile (Tail, default p95) of the
-	// per-sample makespans — the robustness axis of the time × energy ×
-	// robustness fronts.
-	RobustTail RobustStat = iota
-	// RobustMean reports the expected (mean) per-sample makespan.
-	RobustMean
-)
-
 // RobustObjective is the uncertainty-aware makespan objective: the
 // candidate mapping is evaluated under S Monte-Carlo perturbed cost
 // worlds (one compiled NewEngineNoise kernel per sample, built lazily
-// per target engine and reused across batches) and aggregated into the
-// expected and tail makespan. S samples of one candidate have the same
-// shape as S candidates, so each sample world evaluates the whole batch
-// through the existing EvaluateBatch worker pool; single-candidate
-// batches fan the samples themselves out over the pool instead.
+// per target engine and reused across batches), and its value is the
+// tail quantile (Tail, default p95) of the per-sample makespans — the
+// robustness axis of the time × energy × robustness fronts. S samples
+// of one candidate have the same shape as S candidates, so each sample
+// world evaluates the whole batch through the existing EvaluateBatch
+// worker pool; single-candidate batches fan the samples themselves out
+// over the pool instead.
 //
 // Contract: values are always exact — the caller's cutoff is ignored
-// (a mean/quantile over early-exited lower bounds would not be a
-// statistic of anything), and the sample engines bypass the target
-// engine's cache and batcher. Infeasibility does not depend on the
+// (a quantile over early-exited lower bounds would not be a statistic
+// of anything), and the sample engines bypass the target engine's
+// cache and batcher. Infeasibility does not depend on the
 // perturbation (area capacities are noise-free), so a candidate is
 // Infeasible in every sample or in none; infeasible candidates report
 // Infeasible. For a fixed (noise model, samples, tail) the result is a
@@ -50,7 +38,6 @@ type RobustObjective struct {
 	noise   NoiseModel
 	samples int
 	tail    float64
-	stat    RobustStat
 
 	mu   sync.Mutex
 	berr error     // deferred engine-build failure (nil inputs)
@@ -59,9 +46,9 @@ type RobustObjective struct {
 }
 
 // NewRobustObjective validates (noise, samples, tail) and returns the
-// robust objective reporting the given aggregate. samples must be >= 1
-// and tail in (0, 1); tail = 0 selects DefaultTail.
-func NewRobustObjective(noise NoiseModel, samples int, tail float64, stat RobustStat) (*RobustObjective, error) {
+// robust objective. samples must be >= 1 and tail in (0, 1); tail = 0
+// selects DefaultTail.
+func NewRobustObjective(noise NoiseModel, samples int, tail float64) (*RobustObjective, error) {
 	if err := noise.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,10 +61,7 @@ func NewRobustObjective(noise NoiseModel, samples int, tail float64, stat Robust
 	if math.IsNaN(tail) || tail <= 0 || tail >= 1 {
 		return nil, fmt.Errorf("eval: robust tail quantile %g outside (0, 1)", tail)
 	}
-	if stat != RobustTail && stat != RobustMean {
-		return nil, fmt.Errorf("eval: unknown robust stat %d", int(stat))
-	}
-	return &RobustObjective{noise: noise, samples: samples, tail: tail, stat: stat}, nil
+	return &RobustObjective{noise: noise, samples: samples, tail: tail}, nil
 }
 
 // Noise returns the objective's noise model.
@@ -88,24 +72,6 @@ func (ro *RobustObjective) Samples() int { return ro.samples }
 
 // Tail returns the tail quantile.
 func (ro *RobustObjective) Tail() float64 { return ro.tail }
-
-// Name implements Objective.
-func (ro *RobustObjective) Name() string {
-	if ro.stat == RobustMean {
-		return "robust-mean"
-	}
-	return "robust"
-}
-
-// Batch implements Objective; the cutoff is ignored (see type doc).
-func (ro *RobustObjective) Batch(e *Engine, ops []Op, _ float64, out []float64) {
-	mean, tail := ro.BatchStats(e, ops)
-	src := tail
-	if ro.stat == RobustMean {
-		src = mean
-	}
-	copy(out, src)
-}
 
 // sampleEngines returns the per-sample perturbed engines for e's
 // instance, compiling them on first use (and recompiling when the
@@ -128,15 +94,14 @@ func (ro *RobustObjective) sampleEngines(e *Engine) ([]*Engine, error) {
 	return eng, nil
 }
 
-// BatchStats evaluates every op under all samples and returns the
-// index-aligned expected and tail makespans (see the type doc for the
-// exactness and determinism contract).
-func (ro *RobustObjective) BatchStats(e *Engine, ops []Op) (mean, tail []float64) {
+// Batch implements Objective: it evaluates every op under all samples
+// and fills out with the index-aligned tail makespans. The cutoff is
+// ignored (see the type doc for the exactness and determinism
+// contract).
+func (ro *RobustObjective) Batch(e *Engine, ops []Op, _ float64, out []float64) {
 	n := len(ops)
-	mean = make([]float64, n)
-	tail = make([]float64, n)
 	if n == 0 {
-		return mean, tail
+		return
 	}
 	engs, err := ro.sampleEngines(e)
 	if err != nil {
@@ -176,26 +141,31 @@ func (ro *RobustObjective) BatchStats(e *Engine, ops []Op) (mean, tail []float64
 		}
 	}
 	qi := quantileIndex(ro.tail, S)
-	buf := make([]float64, S)
-	for i := 0; i < n; i++ {
-		infeasible := false
-		sum := 0.0
-		for s := 0; s < S; s++ {
-			v := vals[s*n+i]
-			if v >= Infeasible {
-				infeasible = true
-				break
-			}
-			buf[s] = v
-			sum += v
+	buf := make([]float64, 0, S)
+	for i := range n {
+		buf = buf[:0]
+		for s := 0; s < S && vals[s*n+i] < Infeasible; s++ {
+			buf = append(buf, vals[s*n+i])
 		}
-		if infeasible {
-			mean[i], tail[i] = Infeasible, Infeasible
+		if len(buf) < S {
+			out[i] = Infeasible
 			continue
 		}
-		mean[i] = sum / float64(S)
 		sort.Float64s(buf)
-		tail[i] = buf[qi]
+		out[i] = buf[qi]
 	}
-	return mean, tail
+}
+
+// quantileIndex returns the 0-based order statistic of the q-quantile
+// over s sorted samples — ceil(q*s) - 1 clamped to [0, s-1] (the
+// inverse empirical CDF; q = 0.95 over 20 samples selects index 18).
+func quantileIndex(q float64, s int) int {
+	i := int(math.Ceil(q*float64(s))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= s {
+		i = s - 1
+	}
+	return i
 }

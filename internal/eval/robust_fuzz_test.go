@@ -87,37 +87,31 @@ func FuzzRobustMatchesReference(f *testing.F) {
 			d := (m[v] + 1 + v) % nd
 			ops = append(ops, Op{Base: m, Patch: []graph.NodeID{graph.NodeID(v)}, Device: d})
 		}
-		wantMean, wantTail := robustReference(eng, nm, samples, tail, ops)
+		want := robustReference(eng, nm, samples, tail, ops)
 
-		for _, stat := range []RobustStat{RobustTail, RobustMean} {
-			ro, err := NewRobustObjective(nm, samples, tail, stat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := wantTail
-			if stat == RobustMean {
-				want = wantMean
-			}
-			for _, workers := range []int{1, 4} {
-				e := eng.WithWorkers(workers)
-				for _, cutoff := range []float64{math.Inf(1), 1e-9} {
-					out := make([]float64, len(ops))
-					ro.Batch(e, ops, cutoff, out)
-					for i := range out {
-						if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("stat=%v workers=%d cutoff=%v op %d: %v (%x) != reference %v (%x)",
-								stat, workers, cutoff, i, out[i], math.Float64bits(out[i]),
-								want[i], math.Float64bits(want[i]))
-						}
+		ro, err := NewRobustObjective(nm, samples, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			e := eng.WithWorkers(workers)
+			for _, cutoff := range []float64{math.Inf(1), 1e-9} {
+				out := make([]float64, len(ops))
+				ro.Batch(e, ops, cutoff, out)
+				for i := range out {
+					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("workers=%d cutoff=%v op %d: %v (%x) != reference %v (%x)",
+							workers, cutoff, i, out[i], math.Float64bits(out[i]),
+							want[i], math.Float64bits(want[i]))
 					}
 				}
 			}
-			// Single-op batches exercise the sample fan-out path.
-			single := make([]float64, 1)
-			ro.Batch(eng, ops[:1], math.Inf(1), single)
-			if single[0] != want[0] {
-				t.Fatalf("stat=%v single-op: %v != batch %v", stat, single[0], want[0])
-			}
+		}
+		// Single-op batches exercise the sample fan-out path.
+		single := make([]float64, 1)
+		ro.Batch(eng, ops[:1], math.Inf(1), single)
+		if single[0] != want[0] {
+			t.Fatalf("single-op: %v != batch %v", single[0], want[0])
 		}
 	})
 }

@@ -20,22 +20,21 @@ var robustTestNoise = NoiseModel{
 	Kind: NoiseLognormal, ExecSigma: 0.2, DeviceSigma: 0.3, TransferSigma: 0.25, Seed: 11,
 }
 
-// robustReference computes the robust statistics the slow way: one
-// serial pass per perturbed sample engine, then the same mean/quantile
-// aggregation the objective documents.
-func robustReference(e *Engine, nm NoiseModel, samples int, tail float64, ops []Op) (mean, tailV []float64) {
+// robustReference computes the robust tail makespans the slow way: one
+// serial pass per perturbed sample engine, then the quantile the
+// objective documents.
+func robustReference(e *Engine, nm NoiseModel, samples int, tail float64, ops []Op) []float64 {
 	n := len(ops)
 	vals := make([][]float64, samples)
 	for s := 0; s < samples; s++ {
 		ref := NewEngineNoise(e.g, e.p, e.orders, nm, s, Options{Workers: 1})
 		vals[s] = ref.EvaluateBatch(ops, math.Inf(1))
 	}
-	mean = make([]float64, n)
-	tailV = make([]float64, n)
+	tailV := make([]float64, n)
 	qi := quantileIndex(tail, samples)
 	buf := make([]float64, samples)
 	for i := 0; i < n; i++ {
-		sum, infeasible := 0.0, false
+		infeasible := false
 		for s := 0; s < samples; s++ {
 			v := vals[s][i]
 			if v >= Infeasible {
@@ -43,13 +42,11 @@ func robustReference(e *Engine, nm NoiseModel, samples int, tail float64, ops []
 				break
 			}
 			buf[s] = v
-			sum += v
 		}
 		if infeasible {
-			mean[i], tailV[i] = Infeasible, Infeasible
+			tailV[i] = Infeasible
 			continue
 		}
-		mean[i] = sum / float64(samples)
 		// insertion sort into a copy, to stay independent of the
 		// implementation's sort
 		srt := append([]float64(nil), buf...)
@@ -60,7 +57,7 @@ func robustReference(e *Engine, nm NoiseModel, samples int, tail float64, ops []
 		}
 		tailV[i] = srt[qi]
 	}
-	return mean, tailV
+	return tailV
 }
 
 func TestRobustBatchStatsMatchesSerialReference(t *testing.T) {
@@ -72,39 +69,21 @@ func TestRobustBatchStatsMatchesSerialReference(t *testing.T) {
 	ops := randomOps(rng, g, p, base, 60)
 
 	const samples, tail = 7, 0.9
-	wantMean, wantTail := robustReference(eng, robustTestNoise, samples, tail, ops)
+	want := robustReference(eng, robustTestNoise, samples, tail, ops)
 
-	ro, err := NewRobustObjective(robustTestNoise, samples, tail, RobustTail)
+	ro, err := NewRobustObjective(robustTestNoise, samples, tail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMean, gotTail := ro.BatchStats(eng, ops)
-	for i := range ops {
-		if math.Float64bits(gotMean[i]) != math.Float64bits(wantMean[i]) {
-			t.Fatalf("op %d: mean %v != reference %v", i, gotMean[i], wantMean[i])
-		}
-		if math.Float64bits(gotTail[i]) != math.Float64bits(wantTail[i]) {
-			t.Fatalf("op %d: tail %v != reference %v", i, gotTail[i], wantTail[i])
-		}
-	}
-
-	// Batch must report the tail column (and robust-mean the mean), and
-	// must ignore the caller's cutoff — robust values are always exact.
-	out := make([]float64, len(ops))
-	ro.Batch(eng, ops, 1e-9, out)
-	for i := range out {
-		if out[i] != gotTail[i] {
-			t.Fatalf("op %d: Batch %v != tail %v (cutoff must be ignored)", i, out[i], gotTail[i])
-		}
-	}
-	rm, err := NewRobustObjective(robustTestNoise, samples, tail, RobustMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm.Batch(eng, ops, math.Inf(1), out)
-	for i := range out {
-		if out[i] != gotMean[i] {
-			t.Fatalf("op %d: robust-mean Batch %v != mean %v", i, out[i], gotMean[i])
+	// Batch must ignore the caller's cutoff — robust values are always
+	// exact.
+	for _, cutoff := range []float64{math.Inf(1), 1e-9} {
+		out := make([]float64, len(ops))
+		ro.Batch(eng, ops, cutoff, out)
+		for i := range ops {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("cutoff %v op %d: tail %v != reference %v", cutoff, i, out[i], want[i])
+			}
 		}
 	}
 }
@@ -128,7 +107,7 @@ func TestRobustDeterminismMatrix(t *testing.T) {
 					eng = eng.WithCache(NewCache())
 				}
 				ops := randomOps(rand.New(rand.NewSource(29)), g, p, base, 40)
-				ro, err := NewRobustObjective(robustTestNoise, samples, 0.95, RobustTail)
+				ro, err := NewRobustObjective(robustTestNoise, samples, 0.95)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +138,7 @@ func TestRobustDeterminismMatrix(t *testing.T) {
 }
 
 // TestRobustInfeasible: infeasibility is noise-independent, so an
-// overcommitted candidate reports Infeasible for both statistics.
+// overcommitted candidate reports Infeasible.
 func TestRobustInfeasible(t *testing.T) {
 	p := platform.Reference() // FPGA area capacity 120
 	g := graph.New(0, 0)
@@ -171,16 +150,17 @@ func TestRobustInfeasible(t *testing.T) {
 	bad := mapping.New(g.NumTasks(), fpga)
 	good := mapping.Mapping(make([]int, g.NumTasks()))
 
-	ro, err := NewRobustObjective(robustTestNoise, 4, 0.9, RobustTail)
+	ro, err := NewRobustObjective(robustTestNoise, 4, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, tail := ro.BatchStats(eng, []Op{{Base: bad}, {Base: good}})
-	if mean[0] != Infeasible || tail[0] != Infeasible {
-		t.Fatalf("infeasible op: mean %v tail %v, want Infeasible", mean[0], tail[0])
+	tail := make([]float64, 2)
+	ro.Batch(eng, []Op{{Base: bad}, {Base: good}}, math.Inf(1), tail)
+	if tail[0] != Infeasible {
+		t.Fatalf("infeasible op: tail %v, want Infeasible", tail[0])
 	}
-	if mean[1] >= Infeasible || tail[1] >= Infeasible {
-		t.Fatalf("feasible op reported infeasible: mean %v tail %v", mean[1], tail[1])
+	if tail[1] >= Infeasible {
+		t.Fatalf("feasible op reported infeasible: tail %v", tail[1])
 	}
 }
 
@@ -195,7 +175,7 @@ func TestRobustEngineSwitch(t *testing.T) {
 	e2 := NewEngineSchedules(g2, p, 5, 9, Options{Workers: 2})
 
 	const samples, tail = 4, 0.75
-	ro, err := NewRobustObjective(robustTestNoise, samples, tail, RobustTail)
+	ro, err := NewRobustObjective(robustTestNoise, samples, tail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +184,7 @@ func TestRobustEngineSwitch(t *testing.T) {
 		g   *graph.DAG
 	}{{e1, g1}, {e2, g2}, {e1, g1}} {
 		ops := randomOps(rng, tc.g, p, mapping.Mapping(make([]int, tc.g.NumTasks())), 15)
-		_, wantTail := robustReference(tc.eng, robustTestNoise, samples, tail, ops)
+		wantTail := robustReference(tc.eng, robustTestNoise, samples, tail, ops)
 		out := make([]float64, len(ops))
 		ro.Batch(tc.eng, ops, math.Inf(1), out)
 		for i := range out {
@@ -222,22 +202,20 @@ func TestNewRobustObjectiveValidation(t *testing.T) {
 		noise   NoiseModel
 		samples int
 		tail    float64
-		stat    RobustStat
 		ok      bool
 	}{
-		{"valid", ok, 8, 0.9, RobustTail, true},
-		{"valid mean", ok, 1, 0.5, RobustMean, true},
-		{"default tail", ok, 4, 0, RobustTail, true},
-		{"zero samples", ok, 0, 0.9, RobustTail, false},
-		{"negative samples", ok, -3, 0.9, RobustTail, false},
-		{"tail 1", ok, 8, 1, RobustTail, false},
-		{"tail negative", ok, 8, -0.5, RobustTail, false},
-		{"tail nan", ok, 8, math.NaN(), RobustTail, false},
-		{"bad noise", NoiseModel{ExecSigma: -1}, 8, 0.9, RobustTail, false},
-		{"bad stat", ok, 8, 0.9, RobustStat(7), false},
+		{"valid", ok, 8, 0.9, true},
+		{"one sample", ok, 1, 0.5, true},
+		{"default tail", ok, 4, 0, true},
+		{"zero samples", ok, 0, 0.9, false},
+		{"negative samples", ok, -3, 0.9, false},
+		{"tail 1", ok, 8, 1, false},
+		{"tail negative", ok, 8, -0.5, false},
+		{"tail nan", ok, 8, math.NaN(), false},
+		{"bad noise", NoiseModel{ExecSigma: -1}, 8, 0.9, false},
 	}
 	for _, tc := range cases {
-		ro, err := NewRobustObjective(tc.noise, tc.samples, tc.tail, tc.stat)
+		ro, err := NewRobustObjective(tc.noise, tc.samples, tc.tail)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 			continue
@@ -247,13 +225,6 @@ func TestNewRobustObjectiveValidation(t *testing.T) {
 		}
 		if tc.tail == 0 && ro.Tail() != DefaultTail {
 			t.Errorf("%s: zero tail resolved to %v, want DefaultTail", tc.name, ro.Tail())
-		}
-		wantName := "robust"
-		if tc.stat == RobustMean {
-			wantName = "robust-mean"
-		}
-		if ro.Name() != wantName {
-			t.Errorf("%s: Name() = %q, want %q", tc.name, ro.Name(), wantName)
 		}
 		if ro.Samples() != tc.samples || ro.Noise() != tc.noise {
 			t.Errorf("%s: accessors disagree with construction", tc.name)

@@ -119,7 +119,7 @@ func selectRobust(ev *model.Evaluator, front pareto.Front, samples, workers int)
 	}
 	nm := RobustNoise
 	nm.Seed ^= 0x5E3779B97F4A7C15
-	sel, err := eval.NewRobustObjective(nm, selSamples, 0.9, eval.RobustTail)
+	sel, err := eval.NewRobustObjective(nm, selSamples, 0.9)
 	if err != nil {
 		panic(err)
 	}
@@ -143,14 +143,10 @@ func selectRobust(ev *model.Evaluator, front pareto.Front, samples, workers int)
 }
 
 // RobustComparison sweeps degrade-event families and returns one row
-// per family.
+// per family; the robust mapper draws 16 Monte-Carlo samples per
+// candidate.
 func RobustComparison(cfg Config) []RobustRow {
-	return RobustComparisonSamples(cfg, 16)
-}
-
-// RobustComparisonSamples is RobustComparison with an explicit
-// Monte-Carlo sample count.
-func RobustComparisonSamples(cfg Config, samples int) []RobustRow {
+	const samples = 16
 	families := []int{4}
 	if cfg.Paper {
 		families = []int{1, 2, 4, 8}
@@ -175,7 +171,7 @@ func RobustComparisonSamples(cfg Config, samples int) []RobustRow {
 				Population: 16, Generations: 25, Seed: seed,
 				Workers: cfg.Workers,
 			})
-			robustObj, err := eval.NewRobustObjective(RobustNoise, samples, 0.9, eval.RobustTail)
+			robustObj, err := eval.NewRobustObjective(RobustNoise, samples, 0.9)
 			if err != nil {
 				panic(err)
 			}
@@ -274,7 +270,7 @@ func RobustCost(cfg Config) []RobustCostRow {
 
 	rows := make([]RobustCostRow, 0, 4)
 	for _, s := range []int{4, 16, 64} {
-		ro, err := eval.NewRobustObjective(RobustNoise, s, 0.95, eval.RobustTail)
+		ro, err := eval.NewRobustObjective(RobustNoise, s, 0.95)
 		if err != nil {
 			panic(err)
 		}

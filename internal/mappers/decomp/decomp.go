@@ -83,8 +83,10 @@ type Options struct {
 	MaxIterations int
 	// Objective overrides the minimized cost function (default: the
 	// evaluator's schedule-set makespan). It must be deterministic and
-	// return model.Infeasible for infeasible mappings; the multi-objective
-	// extension (energy, EDP, weighted scalarizations) plugs in here.
+	// return model.Infeasible for infeasible mappings. A weighted
+	// time/energy scalarization (model.Evaluator.WeightedObjective)
+	// plugs in here, and the look-ahead and engine-backed equivalence
+	// tests drive decomp through it with ReferenceMakespan as the oracle.
 	Objective model.Objective
 	// Workers bounds the evaluation engine's worker pool for the batched
 	// operation evaluations — every iteration of Basic, and the seeding
@@ -157,7 +159,7 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats,
 
 	cost := opt.Objective
 	if cost == nil {
-		cost = ev.MakespanObjective()
+		cost = ev.Makespan
 	}
 	m := mapping.Baseline(g, p)
 	best := cost(m)

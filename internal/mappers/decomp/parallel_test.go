@@ -56,21 +56,3 @@ func TestEnergyObjectiveShiftsMapping(t *testing.T) {
 			ev.Makespan(mTime), ev.Makespan(mEnergy))
 	}
 }
-
-func TestEDPObjectiveRuns(t *testing.T) {
-	p := platform.Reference()
-	g := testGraph(77, 30)
-	ev := model.NewEvaluator(g, p).WithSchedules(10, 1)
-	m, st, err := MapWithEvaluator(ev, Options{
-		Strategy: SeriesParallel, Heuristic: FirstFit, Objective: ev.EDP(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(g, p); err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations == 0 {
-		t.Log("EDP objective applied no changes (acceptable, but unusual)")
-	}
-}

@@ -1,22 +1,38 @@
-// Package ga implements the single-objective variant of the NSGA-II
-// genetic algorithm used as a metaheuristic baseline in the paper (§IV):
-// topologically sorted genome with one gene (device) per task,
-// single-point crossover with 90 % crossover rate, mutation rate 1/n, a
-// repair function enforcing feasible mappings, population size 100 and (by
-// default) 500 generations. With a single objective, NSGA-II's
+// Package ga implements the NSGA-II genetic algorithm the paper uses as
+// its metaheuristic baseline (§IV): a topologically sorted genome with
+// one gene (device) per task, binary tournaments, single-point crossover
+// with 90 % crossover rate, mutation rate 1/n, a repair function
+// enforcing feasible mappings, population size 100 and (by default) 500
+// generations.
+//
+// One evolution loop serves two drivers that differ only in how two
+// individuals compare and how survivors are ordered. MapWithEvaluator is
+// the single-objective baseline: with one objective, NSGA-II's
 // non-dominated sorting degenerates to elitist (mu+lambda) selection on
-// the makespan, which is what this implementation performs.
+// the makespan. MapParetoWithEvaluator is the full algorithm over an
+// objective vector: fast non-dominated sorting, crowding distance, and
+// tournaments on (rank, crowding), with every evaluated individual
+// offered to an ε-dominance Pareto archive.
+//
+// Determinism contract: for a fixed seed the result and every Stats
+// counter are identical across runs and across any Workers value —
+// random draws happen on the calling goroutine in a fixed order,
+// populations are evaluated as index-aligned batches, and survivors are
+// ordered by a stable sort.
 package ga
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 
 	"spmap/internal/coord"
 	"spmap/internal/eval"
 	"spmap/internal/graph"
 	"spmap/internal/mapping"
 	"spmap/internal/model"
+	"spmap/internal/pareto"
 	"spmap/internal/platform"
 )
 
@@ -26,35 +42,182 @@ import (
 // DefaultPopulation x (generations + 1).
 const DefaultPopulation = 100
 
-// Options configure the genetic algorithm; zero values select the paper's
-// parameters.
+// MinPopulation is the smallest population PopulationFor returns.
+const MinPopulation = 4
+
+const (
+	defaultGenerations = 500
+	// crossoverRate is the probability of single-point crossover on a
+	// selected parent pair; the per-gene mutation rate is 1/n.
+	crossoverRate = 0.9
+)
+
+// PopulationFor derives the population an evaluation budget carries:
+// the paper's DefaultPopulation once the budget covers two populations,
+// budget/8 (at least MinPopulation) below.
+func PopulationFor(budget int) int {
+	if budget >= 2*DefaultPopulation {
+		return DefaultPopulation
+	}
+	return max(budget/8, MinPopulation)
+}
+
+// individual is one population member: a genome, its objective vector
+// (the makespan alone in the single-objective run) and NSGA-II's
+// selection keys.
+type individual struct {
+	genes    mapping.Mapping
+	vec      []float64
+	rank     int
+	crowding float64
+}
+
+// evolution is the state one GA run shares between its drivers.
+type evolution struct {
+	g     *graph.DAG
+	p     *platform.Platform
+	pop   int
+	rng   *rand.Rand
+	order []graph.NodeID // genome order: topological
+	eng   *eval.Engine
+	objs  []eval.Objective
+	batch []eval.Op
+	evals int
+	// archive, if non-nil, is offered every evaluated individual.
+	archive *pareto.Archive
+}
+
+// newEvolution prepares a run of pop individuals scored under objs.
+func newEvolution(ev *model.Evaluator, pop, workers int, seed int64, objs []eval.Objective) *evolution {
+	// Genes are laid out in topological order so that single-point
+	// crossover exchanges a precedence-consistent prefix.
+	order, err := ev.G.TopoSort()
+	if err != nil {
+		panic(err) // graphs are validated before mapping
+	}
+	eng := ev.Engine()
+	if workers > 0 {
+		eng = eng.WithWorkers(workers)
+	}
+	return &evolution{
+		g: ev.G, p: ev.P, pop: pop, rng: rand.New(rand.NewSource(seed)),
+		order: order, eng: eng, objs: objs, batch: make([]eval.Op, 0, pop),
+	}
+}
+
+// defaults resolves zero population and generation counts.
+func defaults(pop, gens int) (int, int) {
+	if pop <= 0 {
+		pop = DefaultPopulation
+	}
+	if gens <= 0 {
+		gens = defaultGenerations
+	}
+	return pop, gens
+}
+
+// initial draws and evaluates the initial population: the pure-CPU
+// baseline first, then uniform random mappings.
+func (e *evolution) initial() []individual {
+	inds := make([]individual, e.pop, 2*e.pop)
+	inds[0].genes = mapping.Baseline(e.g, e.p)
+	for i := 1; i < e.pop; i++ {
+		genes := make(mapping.Mapping, e.g.NumTasks())
+		for v := range genes {
+			genes[v] = e.rng.Intn(e.p.NumDevices())
+		}
+		inds[i].genes = genes
+	}
+	e.evaluate(inds)
+	return inds
+}
+
+// evaluate repairs every individual and scores the whole population as
+// one engine batch (fanned out over the worker pool). Evaluation draws
+// no randomness, so batching cannot perturb the RNG stream.
+func (e *evolution) evaluate(inds []individual) {
+	e.batch = e.batch[:0]
+	for i := range inds {
+		inds[i].genes.Repair(e.g, e.p)
+		e.batch = append(e.batch, eval.Op{Base: inds[i].genes})
+	}
+	cols := e.eng.EvaluateBatchVec(e.batch, e.objs, math.Inf(1))
+	d := len(e.objs)
+	vecs := make([]float64, d*len(inds))
+	for i := range inds {
+		vec := vecs[i*d : (i+1)*d : (i+1)*d]
+		for j := range cols {
+			vec[j] = cols[j][i]
+		}
+		inds[i].vec = vec
+		if e.archive != nil {
+			e.archive.Add(pareto.NewPoint(vec, inds[i].genes))
+		}
+	}
+	e.evals += len(inds)
+}
+
+// generation evolves the population by one generation: pop offspring
+// bred by binary tournaments under compare (ties keep the first-drawn
+// competitor), single-point crossover along the genome and per-gene
+// mutation, evaluated as one batch; the survivors are the first pop of
+// parents + offspring in the stable order of compare, after rank (if
+// non-nil) has assigned the selection keys.
+func (e *evolution) generation(inds []individual, compare func(a, b individual) int, rank func([]individual)) []individual {
+	n := e.g.NumTasks()
+	mrate := 1 / float64(n)
+	tournament := func() *individual {
+		a, b := e.rng.Intn(e.pop), e.rng.Intn(e.pop)
+		if compare(inds[b], inds[a]) < 0 {
+			return &inds[b]
+		}
+		return &inds[a]
+	}
+	offspring := make([]individual, 0, e.pop)
+	for len(offspring) < e.pop {
+		p1, p2 := tournament(), tournament()
+		c1, c2 := p1.genes.Clone(), p2.genes.Clone()
+		if e.rng.Float64() < crossoverRate && n > 1 {
+			// The children keep their parents' genes up to the cut and
+			// swap the rest.
+			cut := 1 + e.rng.Intn(n-1)
+			for _, v := range e.order[cut:] {
+				c1[v], c2[v] = p2.genes[v], p1.genes[v]
+			}
+		}
+		for _, c := range []mapping.Mapping{c1, c2} {
+			for v := range c {
+				if e.rng.Float64() < mrate {
+					c[v] = e.rng.Intn(e.p.NumDevices())
+				}
+			}
+			offspring = append(offspring, individual{genes: c})
+			if len(offspring) == e.pop {
+				break
+			}
+		}
+	}
+	e.evaluate(offspring)
+	inds = append(inds[:e.pop], offspring...)
+	if rank != nil {
+		rank(inds)
+	}
+	slices.SortStableFunc(inds, compare)
+	return inds[:e.pop]
+}
+
+// Options configure the single-objective GA; zero values select the
+// paper's parameters.
 type Options struct {
 	// Population size (default DefaultPopulation).
 	Population int
 	// Generations to run (default 500).
 	Generations int
-	// CrossoverRate is the probability of performing single-point
-	// crossover on a selected parent pair (default 0.9).
-	CrossoverRate float64
-	// MutationRate is the per-gene mutation probability (default 1/n).
-	MutationRate float64
-	// Seed for the deterministic RNG (used when Rand is nil).
+	// Seed for the deterministic RNG.
 	Seed int64
-	// Rand overrides the RNG.
-	Rand *rand.Rand
-	// SeedBaseline injects the pure-CPU baseline into the initial
-	// population (on by default in the sense that the initial population
-	// always contains it; set SkipBaseline to disable).
-	SkipBaseline bool
-	// Fitness overrides the minimized cost function (default: the
-	// evaluator's schedule-set makespan); the multi-objective extension
-	// plugs in here. Custom fitness functions are evaluated serially;
-	// the default makespan fitness is batch-parallel.
-	Fitness model.Objective
-	// Workers bounds the evaluation engine's worker pool for the default
-	// fitness (0 selects GOMAXPROCS, 1 forces serial). The evolution is
-	// identical for any value: populations are evaluated as index-aligned
-	// batches and no random draw depends on evaluation order.
+	// Workers bounds the evaluation engine's worker pool (0 selects
+	// GOMAXPROCS, 1 forces serial). The evolution is identical for any
+	// value.
 	Workers int
 	// Budget caps engine evaluations (0 = uncapped): the initial
 	// population is shrunk to at most Budget individuals and the GA
@@ -91,190 +254,62 @@ type Stats struct {
 	Makespan          float64
 }
 
-type individual struct {
-	genes   mapping.Mapping
-	fitness float64
-}
+// byMakespan orders individuals by ascending makespan.
+func byMakespan(a, b individual) int { return cmp.Compare(a.vec[0], b.vec[0]) }
 
 // Map runs the GA and returns the best mapping found.
 func Map(g *graph.DAG, p *platform.Platform, opt Options) (mapping.Mapping, Stats) {
-	ev := model.NewEvaluator(g, p)
-	return MapWithEvaluator(ev, opt)
+	return MapWithEvaluator(model.NewEvaluator(g, p), opt)
 }
 
 // MapWithEvaluator is Map with a shared evaluator.
 func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats) {
-	g, p := ev.G, ev.P
-	n := g.NumTasks()
-	pop := opt.Population
-	if pop <= 0 {
-		pop = DefaultPopulation
-	}
+	pop, gens := defaults(opt.Population, opt.Generations)
 	if opt.Budget > 0 && pop > opt.Budget {
 		// Even the initial population must respect the evaluation cap.
 		pop = opt.Budget
 	}
-	gens := opt.Generations
-	if gens <= 0 {
-		gens = 500
-	}
-	xrate := opt.CrossoverRate
-	if xrate <= 0 {
-		xrate = 0.9
-	}
-	mrate := opt.MutationRate
-	if mrate <= 0 && n > 0 {
-		mrate = 1 / float64(n)
-	}
-	rng := opt.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
-	}
+	e := newEvolution(ev, pop, opt.Workers, opt.Seed, []eval.Objective{eval.MakespanObjective()})
+	inds := e.initial()
 
 	var stats Stats
-	// evaluateAll scores a slice of individuals. With the default makespan
-	// fitness the whole population goes through the evaluation engine as
-	// one batch (fanned out over the engine's worker pool); a custom
-	// fitness closure is called serially. Fitness evaluation consumes no
-	// randomness, so batching does not perturb the RNG stream and the
-	// evolution is identical to individual-at-a-time evaluation.
-	var evaluateAll func(inds []individual)
-	if opt.Fitness != nil {
-		evaluateAll = func(inds []individual) {
-			for i := range inds {
-				inds[i].genes.Repair(g, p)
-				inds[i].fitness = opt.Fitness(inds[i].genes)
-				stats.Evaluations++
-			}
-		}
-	} else {
-		eng := ev.Engine()
-		if opt.Workers > 0 {
-			eng = eng.WithWorkers(opt.Workers)
-		}
-		batch := make([]eval.Op, 0, 2*pop)
-		evaluateAll = func(inds []individual) {
-			batch = batch[:0]
-			for i := range inds {
-				inds[i].genes.Repair(g, p)
-				batch = append(batch, eval.Op{Base: inds[i].genes})
-			}
-			for i, ms := range eng.EvaluateBatch(batch, math.Inf(1)) {
-				inds[i].fitness = ms
-				stats.Evaluations++
-			}
-		}
-	}
-
-	// Genome order: genes are laid out in topological order so that
-	// single-point crossover exchanges a precedence-consistent prefix.
-	order, err := g.TopoSort()
-	if err != nil {
-		panic(err) // graphs are validated before mapping
-	}
-
-	individuals := make([]individual, 0, 2*pop)
-	for i := 0; i < pop; i++ {
-		genes := make(mapping.Mapping, n)
-		if i == 0 && !opt.SkipBaseline {
-			genes = mapping.Baseline(g, p)
-		} else {
-			for v := range genes {
-				genes[v] = rng.Intn(p.NumDevices())
-			}
-		}
-		individuals = append(individuals, individual{genes: genes})
-	}
-	evaluateAll(individuals)
-
-	tournament := func() *individual {
-		a, b := rng.Intn(pop), rng.Intn(pop)
-		if individuals[a].fitness <= individuals[b].fitness {
-			return &individuals[a]
-		}
-		return &individuals[b]
-	}
-
-	best := func() individual {
-		bi := 0
-		for i := 1; i < pop; i++ {
-			if individuals[i].fitness < individuals[bi].fitness {
-				bi = i
-			}
-		}
-		return individuals[bi]
-	}
-
 	budget := opt.Budget
 	lastSync := 0
 	for gen := 0; gen < gens; gen++ {
 		// The budget gate never overshoots: a generation costs exactly pop
 		// evaluations, so stop before one that would exceed the cap.
-		if budget > 0 && stats.Evaluations+pop > budget {
+		if budget > 0 && e.evals+pop > budget {
 			break
 		}
-		offspring := make([]individual, 0, pop)
-		for len(offspring) < pop {
-			p1, p2 := tournament(), tournament()
-			c1 := p1.genes.Clone()
-			c2 := p2.genes.Clone()
-			if rng.Float64() < xrate && n > 1 {
-				// Single-point crossover along the topological genome.
-				cut := 1 + rng.Intn(n-1)
-				for i := 0; i < cut; i++ {
-					v := order[i]
-					c1[v], c2[v] = p1.genes[v], p2.genes[v]
-				}
-				for i := cut; i < n; i++ {
-					v := order[i]
-					c1[v], c2[v] = p2.genes[v], p1.genes[v]
-				}
-			}
-			for _, c := range []mapping.Mapping{c1, c2} {
-				for v := range c {
-					if rng.Float64() < mrate {
-						c[v] = rng.Intn(p.NumDevices())
-					}
-				}
-				offspring = append(offspring, individual{genes: c})
-				if len(offspring) == pop {
-					break
-				}
-			}
-		}
-		evaluateAll(offspring)
-		// Elitist (mu+lambda) survivor selection.
-		individuals = append(individuals[:pop], offspring...)
-		selectBest(individuals, pop)
-		individuals = individuals[:pop]
-		stats.BestPerGeneration = append(stats.BestPerGeneration, individuals[0].fitness)
+		inds = e.generation(inds, byMakespan, nil)
+		stats.BestPerGeneration = append(stats.BestPerGeneration, inds[0].vec[0])
 		stats.Generations = gen + 1
 
 		// Coordination rendezvous at the generation boundary (portfolio
 		// racing).
-		if opt.Sync != nil && opt.SyncEvery > 0 && stats.Evaluations-lastSync >= opt.SyncEvery {
-			lastSync = stats.Evaluations
+		if opt.Sync != nil && opt.SyncEvery > 0 && e.evals-lastSync >= opt.SyncEvery {
+			lastSync = e.evals
 			stats.Syncs++
 			d := opt.Sync(coord.SyncInfo{
-				Evaluations: stats.Evaluations,
+				Evaluations: e.evals,
 				Budget:      budget,
-				BestValue:   individuals[0].fitness,
-				Best:        individuals[0].genes.Clone(),
+				BestValue:   inds[0].vec[0],
+				Best:        inds[0].genes.Clone(),
 			})
 			budget += d.BudgetDelta
 			// Elite adoption is free (no evaluation): the coordinator
-			// forwards the exact fitness another member computed on the
-			// shared engine; the elite displaces the current worst
-			// survivor when it improves on it.
-			if d.Elite != nil && len(d.Elite) == n {
+			// forwards the exact makespan another member computed on the
+			// shared engine; the elite displaces the first worst survivor
+			// when it improves on it.
+			if d.Elite != nil && len(d.Elite) == ev.G.NumTasks() {
 				wi := 0
-				for i := 1; i < pop; i++ {
-					if individuals[i].fitness > individuals[wi].fitness {
+				for i := range inds {
+					if inds[i].vec[0] > inds[wi].vec[0] {
 						wi = i
 					}
 				}
-				if d.EliteValue < individuals[wi].fitness {
-					individuals[wi] = individual{genes: d.Elite.Clone(), fitness: d.EliteValue}
+				if d.EliteValue < inds[wi].vec[0] {
+					inds[wi] = individual{genes: d.Elite.Clone(), vec: []float64{d.EliteValue}}
 					stats.Injected++
 				}
 			}
@@ -284,19 +319,15 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats)
 			}
 		}
 	}
-	b := best()
-	stats.Makespan = b.fitness
-	return b.genes, stats
-}
-
-// selectBest partially sorts so that the pop best individuals occupy the
-// prefix, with the overall best at index 0.
-func selectBest(inds []individual, pop int) {
-	// Simple selection via full sort; population sizes are small (100).
-	for i := 1; i < len(inds); i++ {
-		for j := i; j > 0 && inds[j].fitness < inds[j-1].fitness; j-- {
-			inds[j], inds[j-1] = inds[j-1], inds[j]
+	stats.Evaluations = e.evals
+	// The first minimum of a scan: a budget stop before the first
+	// generation leaves the population unsorted.
+	best := 0
+	for i := range inds {
+		if inds[i].vec[0] < inds[best].vec[0] {
+			best = i
 		}
 	}
-	_ = pop
+	stats.Makespan = inds[best].vec[0]
+	return inds[best].genes, stats
 }

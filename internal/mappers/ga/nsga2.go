@@ -1,43 +1,20 @@
-// Two-objective (makespan x energy) NSGA-II. The single-objective Map
-// keeps the paper's baseline semantics (§IV: NSGA-II degenerates to
-// elitist selection under one objective); MapPareto is the true
-// algorithm — fast non-dominated sorting, crowding-distance selection,
-// binary tournaments on (rank, crowding) — evaluating every population
-// as one multi-objective engine batch and harvesting each evaluated
-// individual into a bounded ε-dominance Pareto archive.
-//
-// Determinism contract: for a fixed Options.Seed the returned front and
-// every Stats counter are identical across runs and across any Workers
-// value — random draws happen on the calling goroutine in a fixed
-// order, batch results are index-aligned, and every sort and selection
-// breaks ties by explicit deterministic keys.
-
 package ga
 
 import (
-	"math"
-	"math/rand"
+	"cmp"
 
 	"spmap/internal/eval"
-	"spmap/internal/graph"
-	"spmap/internal/mapping"
 	"spmap/internal/model"
 	"spmap/internal/pareto"
-	"spmap/internal/platform"
 )
 
-// ParetoOptions configure MapPareto; zero values select the paper's GA
-// parameters (population 100, 500 generations, crossover 0.9, mutation
-// 1/n).
+// ParetoOptions configure MapParetoWithEvaluator; zero values select
+// the paper's GA parameters (population 100, 500 generations).
 type ParetoOptions struct {
 	// Population size (default DefaultPopulation).
 	Population int
 	// Generations to run (default 500).
 	Generations int
-	// CrossoverRate is the single-point crossover probability (default 0.9).
-	CrossoverRate float64
-	// MutationRate is the per-gene mutation probability (default 1/n).
-	MutationRate float64
 	// Seed drives the deterministic RNG.
 	Seed int64
 	// Workers bounds the evaluation engine's worker pool (0 selects
@@ -46,15 +23,14 @@ type ParetoOptions struct {
 	// Eps is the Pareto archive's ε-grid resolution (0 = exact front).
 	Eps float64
 	// Objectives selects the minimized objective vector (nil selects the
-	// classic [makespan, energy] pair, evaluated through the same fused
-	// batch pass as before the objective-vector refactor — bit-identical
-	// fronts). Additional objectives (eval.BuildObjective("robust", ...))
-	// extend every individual's vector, the non-dominated sort, the
-	// crowding distance and the archived front to d dimensions.
+	// classic [makespan, energy] pair, evaluated through one fused batch
+	// pass). Further objectives, such as eval.NewRobustObjective, extend
+	// every individual's vector, the non-dominated sort, the crowding
+	// distance and the archived front to d dimensions.
 	Objectives []eval.Objective
 }
 
-// ParetoStats report MapPareto effort and outcome.
+// ParetoStats report MapParetoWithEvaluator effort and outcome.
 type ParetoStats struct {
 	Generations int
 	Evaluations int
@@ -67,147 +43,38 @@ type ParetoStats struct {
 	BestEnergy   float64
 }
 
-// moIndividual is one NSGA-II population member.
-type moIndividual struct {
-	genes    mapping.Mapping
-	vec      []float64 // objective vector (immutable once assigned)
-	rank     int
-	crowding float64
+// byRankCrowding orders individuals by ascending non-domination rank,
+// then descending crowding distance.
+func byRankCrowding(a, b individual) int {
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.crowding, a.crowding)
 }
 
-// MapPareto runs two-objective NSGA-II on (g, p) and returns the
-// ε-dominance front over every evaluated individual.
-func MapPareto(g *graph.DAG, p *platform.Platform, opt ParetoOptions) (pareto.Front, ParetoStats) {
-	return MapParetoWithEvaluator(model.NewEvaluator(g, p), opt)
-}
-
-// MapParetoWithEvaluator is MapPareto with a shared evaluator (to
-// control the schedule set and reuse the compiled engine).
+// MapParetoWithEvaluator runs NSGA-II over ev's instance and returns
+// the ε-dominance front of every evaluated individual.
 func MapParetoWithEvaluator(ev *model.Evaluator, opt ParetoOptions) (pareto.Front, ParetoStats) {
-	g, p := ev.G, ev.P
-	n := g.NumTasks()
-	pop := opt.Population
-	if pop <= 0 {
-		pop = DefaultPopulation
-	}
-	gens := opt.Generations
-	if gens <= 0 {
-		gens = 500
-	}
-	xrate := opt.CrossoverRate
-	if xrate <= 0 {
-		xrate = 0.9
-	}
-	mrate := opt.MutationRate
-	if mrate <= 0 && n > 0 {
-		mrate = 1 / float64(n)
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	var stats ParetoStats
-	arch := pareto.NewArchive(opt.Eps)
-	eng := ev.Engine()
-	if opt.Workers > 0 {
-		eng = eng.WithWorkers(opt.Workers)
-	}
+	pop, gens := defaults(opt.Population, opt.Generations)
 	objs := opt.Objectives
 	if len(objs) == 0 {
 		objs = []eval.Objective{eval.MakespanObjective(), eval.EnergyObjective()}
 	}
-	batch := make([]eval.Op, 0, pop)
-	evaluateAll := func(inds []moIndividual) {
-		batch = batch[:0]
-		for i := range inds {
-			inds[i].genes.Repair(g, p)
-			batch = append(batch, eval.Op{Base: inds[i].genes})
-		}
-		cols := eng.EvaluateBatchVec(batch, objs, math.Inf(1))
-		for i := range inds {
-			vec := make([]float64, len(objs))
-			for j := range objs {
-				vec[j] = cols[j][i]
-			}
-			inds[i].vec = vec
-			arch.Add(pareto.NewPoint(vec, inds[i].genes))
-			stats.Evaluations++
-		}
-	}
-
-	// Genome order: genes in topological order so single-point crossover
-	// exchanges a precedence-consistent prefix (same scheme as Map).
-	order, err := g.TopoSort()
-	if err != nil {
-		panic(err) // graphs are validated before mapping
-	}
-
-	individuals := make([]moIndividual, 0, 2*pop)
-	for i := 0; i < pop; i++ {
-		genes := make(mapping.Mapping, n)
-		if i == 0 {
-			genes = mapping.Baseline(g, p)
-		} else {
-			for v := range genes {
-				genes[v] = rng.Intn(p.NumDevices())
-			}
-		}
-		individuals = append(individuals, moIndividual{genes: genes})
-	}
-	evaluateAll(individuals)
-	rankAndCrowd(individuals)
-
-	// Binary tournament on (rank asc, crowding desc); ties keep the
-	// first-drawn competitor, so selection is deterministic.
-	tournament := func() *moIndividual {
-		a, b := rng.Intn(pop), rng.Intn(pop)
-		ia, ib := &individuals[a], &individuals[b]
-		if ib.rank < ia.rank || (ib.rank == ia.rank && ib.crowding > ia.crowding) {
-			return ib
-		}
-		return ia
-	}
-
-	for gen := 0; gen < gens; gen++ {
-		offspring := make([]moIndividual, 0, pop)
-		for len(offspring) < pop {
-			p1, p2 := tournament(), tournament()
-			c1 := p1.genes.Clone()
-			c2 := p2.genes.Clone()
-			if rng.Float64() < xrate && n > 1 {
-				cut := 1 + rng.Intn(n-1)
-				for i := 0; i < cut; i++ {
-					v := order[i]
-					c1[v], c2[v] = p1.genes[v], p2.genes[v]
-				}
-				for i := cut; i < n; i++ {
-					v := order[i]
-					c1[v], c2[v] = p2.genes[v], p1.genes[v]
-				}
-			}
-			for _, c := range []mapping.Mapping{c1, c2} {
-				for v := range c {
-					if rng.Float64() < mrate {
-						c[v] = rng.Intn(p.NumDevices())
-					}
-				}
-				offspring = append(offspring, moIndividual{genes: c})
-				if len(offspring) == pop {
-					break
-				}
-			}
-		}
-		evaluateAll(offspring)
+	e := newEvolution(ev, pop, opt.Workers, opt.Seed, objs)
+	e.archive = pareto.NewArchive(opt.Eps)
+	inds := e.initial()
+	rankAndCrowd(inds)
+	for range gens {
 		// Environmental selection over parents + offspring: fill by
 		// non-domination rank; truncate the cut front by crowding.
-		individuals = append(individuals[:pop], offspring...)
-		rankAndCrowd(individuals)
-		sortByRankCrowding(individuals)
-		individuals = individuals[:pop]
+		inds = e.generation(inds, byRankCrowding, rankAndCrowd)
 	}
-	stats.Generations = gens
 
-	front := arch.Front()
-	stats.FrontSize = len(front)
-	stats.ArchiveSeen = arch.Seen()
+	front := e.archive.Front()
+	stats := ParetoStats{
+		Generations: gens, Evaluations: e.evals,
+		FrontSize: len(front), ArchiveSeen: e.archive.Seen(),
+	}
 	if len(front) > 0 {
 		stats.BestMakespan = front.MinMakespan().Makespan()
 		stats.BestEnergy = front.MinEnergy().Energy()
@@ -217,7 +84,7 @@ func MapParetoWithEvaluator(ev *model.Evaluator, opt ParetoOptions) (pareto.Fron
 
 // rankAndCrowd assigns every individual its non-domination rank and
 // crowding distance over the full objective vector.
-func rankAndCrowd(inds []moIndividual) {
+func rankAndCrowd(inds []individual) {
 	dim := 0
 	if len(inds) > 0 {
 		dim = len(inds[0].vec)
@@ -245,24 +112,6 @@ func rankAndCrowd(inds []moIndividual) {
 		d := pareto.CrowdingDistanceVec(cols, front)
 		for k, i := range front {
 			inds[i].crowding = d[k]
-		}
-	}
-}
-
-// sortByRankCrowding stably sorts by (rank asc, crowding desc,
-// position asc); the caller truncates the prefix, and the position key
-// makes truncation of the cut front deterministic. Insertion sort:
-// populations are small, and stability by original position comes free
-// (equal keys never swap).
-func sortByRankCrowding(inds []moIndividual) {
-	for i := 1; i < len(inds); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &inds[j], &inds[j-1]
-			if a.rank < b.rank || (a.rank == b.rank && a.crowding > b.crowding) {
-				inds[j], inds[j-1] = inds[j-1], inds[j]
-			} else {
-				break
-			}
 		}
 	}
 }

@@ -1,26 +1,17 @@
 package model
 
-import (
-	"spmap/internal/graph"
-	"spmap/internal/mapping"
-)
+import "spmap/internal/mapping"
 
 // This file hosts the multi-objective extension the paper sketches in
 // §II-A ("the basic algorithmic ideas presented in this work can easily
-// be transferred to multi-objective optimization"): an energy model and
-// weighted scalarization objectives that plug into the decomposition
-// mappers and the genetic algorithm via the Objective type.
+// be transferred to multi-objective optimization"): the energy model
+// and the weighted time/energy scalarization. The engine-side objective
+// vectors (makespan, energy, robust tail) live in package eval.
 
 // Objective evaluates a mapping into a scalar cost to minimize. It must
 // be deterministic (the greedy mappers' termination proof relies on it)
 // and return Infeasible for infeasible mappings.
 type Objective func(m mapping.Mapping) float64
-
-// MakespanObjective returns the default objective: the evaluator's
-// schedule-set makespan.
-func (e *Evaluator) MakespanObjective() Objective {
-	return func(m mapping.Mapping) float64 { return e.Makespan(m) }
-}
 
 // Energy returns the compute energy of a mapping in joules: each task's
 // execution time multiplied by its device's active power. Transfer and
@@ -36,11 +27,6 @@ func (e *Evaluator) Energy(m mapping.Mapping) float64 {
 		total += e.exec[d][v] * e.P.Devices[d].PowerW
 	}
 	return total
-}
-
-// EnergyObjective minimizes compute energy alone.
-func (e *Evaluator) EnergyObjective() Objective {
-	return func(m mapping.Mapping) float64 { return e.Energy(m) }
 }
 
 // WeightedObjective scalarizes makespan and energy:
@@ -70,89 +56,4 @@ func (e *Evaluator) WeightedObjective(wTime, wEnergy float64) Objective {
 		}
 		return wTime*ms/baseMs + wEnergy*en/baseEn
 	}
-}
-
-// EDP returns the energy-delay-product objective (energy x makespan), a
-// common single-scalar compromise.
-func (e *Evaluator) EDP() Objective {
-	return func(m mapping.Mapping) float64 {
-		ms := e.Makespan(m)
-		if ms == Infeasible {
-			return Infeasible
-		}
-		en := e.Energy(m)
-		if en == Infeasible {
-			return Infeasible
-		}
-		return ms * en
-	}
-}
-
-// ParetoPoint is one (makespan, energy) outcome of a mapping.
-type ParetoPoint struct {
-	Mapping  mapping.Mapping
-	Makespan float64
-	Energy   float64
-	WTime    float64
-}
-
-// ParetoSweep runs the supplied mapper under a sweep of time/energy
-// weights and returns the non-dominated front (sorted by makespan). The
-// mapper receives the scalarized objective for each weight.
-func (e *Evaluator) ParetoSweep(weights []float64,
-	mapper func(Objective) (mapping.Mapping, error)) ([]ParetoPoint, error) {
-	var pts []ParetoPoint
-	for _, w := range weights {
-		obj := e.WeightedObjective(w, 1-w)
-		m, err := mapper(obj)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, ParetoPoint{
-			Mapping: m, Makespan: e.Makespan(m), Energy: e.Energy(m), WTime: w,
-		})
-	}
-	// Filter dominated points.
-	var front []ParetoPoint
-	for i, p := range pts {
-		dominated := false
-		for j, q := range pts {
-			if i == j {
-				continue
-			}
-			if q.Makespan <= p.Makespan && q.Energy <= p.Energy &&
-				(q.Makespan < p.Makespan || q.Energy < p.Energy) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, p)
-		}
-	}
-	// Sort by makespan.
-	for i := 1; i < len(front); i++ {
-		for j := i; j > 0 && front[j].Makespan < front[j-1].Makespan; j-- {
-			front[j], front[j-1] = front[j-1], front[j]
-		}
-	}
-	return front, nil
-}
-
-// DeviceHistogram counts tasks per device of a mapping (virtual tasks
-// excluded); a small reporting helper shared by CLI and examples.
-func DeviceHistogram(g *graph.DAG, m mapping.Mapping) []int {
-	max := 0
-	for _, d := range m {
-		if d > max {
-			max = d
-		}
-	}
-	h := make([]int, max+1)
-	for v, d := range m {
-		if !g.Task(graph.NodeID(v)).Virtual {
-			h[d]++
-		}
-	}
-	return h
 }

@@ -111,61 +111,6 @@ func TestWeightedObjectiveCachesBaseline(t *testing.T) {
 	}
 }
 
-func TestEDP(t *testing.T) {
-	p := platform.Reference()
-	rng := rand.New(rand.NewSource(4))
-	g := gen.SeriesParallel(rng, 20, gen.DefaultAttr())
-	ev := NewEvaluator(g, p)
-	base := mapping.Baseline(g, p)
-	want := ev.Makespan(base) * ev.Energy(base)
-	if got := ev.EDP()(base); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("EDP = %v, want %v", got, want)
-	}
-}
-
-func TestParetoSweepFrontIsNonDominated(t *testing.T) {
-	p := platform.Reference()
-	rng := rand.New(rand.NewSource(5))
-	g := gen.SeriesParallel(rng, 30, gen.DefaultAttr())
-	ev := NewEvaluator(g, p).WithSchedules(10, 1)
-	// A toy mapper: greedy single-device choice per objective.
-	mapper := func(obj Objective) (mapping.Mapping, error) {
-		bestM := mapping.Baseline(g, p)
-		bestC := obj(bestM)
-		for d := 0; d < p.NumDevices(); d++ {
-			m := mapping.New(g.NumTasks(), d)
-			m.Repair(g, p)
-			if c := obj(m); c < bestC {
-				bestC, bestM = c, m
-			}
-		}
-		return bestM, nil
-	}
-	front, err := ev.ParetoSweep([]float64{0, 0.25, 0.5, 0.75, 1}, mapper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(front) == 0 {
-		t.Fatal("empty front")
-	}
-	for i, a := range front {
-		for j, b := range front {
-			if i == j {
-				continue
-			}
-			if b.Makespan <= a.Makespan && b.Energy <= a.Energy &&
-				(b.Makespan < a.Makespan || b.Energy < a.Energy) {
-				t.Fatalf("front contains dominated point %d", i)
-			}
-		}
-	}
-	for i := 1; i < len(front); i++ {
-		if front[i].Makespan < front[i-1].Makespan {
-			t.Fatal("front not sorted by makespan")
-		}
-	}
-}
-
 func TestBestScheduleConsistent(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(6))
@@ -223,16 +168,5 @@ func TestWriteGantt(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "epyc7351p") || !strings.Contains(out, "makespan") {
 		t.Fatalf("gantt rendering incomplete:\n%s", out)
-	}
-}
-
-func TestDeviceHistogram(t *testing.T) {
-	g := graph.New(3, 0)
-	g.AddTask(graph.Task{})
-	g.AddTask(graph.Task{})
-	g.AddTask(graph.Task{Virtual: true})
-	h := DeviceHistogram(g, mapping.Mapping{0, 1, 1})
-	if h[0] != 1 || h[1] != 1 {
-		t.Fatalf("histogram %v, want [1 1] with virtual excluded", h)
 	}
 }

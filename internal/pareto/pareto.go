@@ -48,9 +48,6 @@ func NewPoint(vec []float64, m mapping.Mapping) Point {
 	return Point{Vec: vec, Mapping: m}
 }
 
-// Dim returns the number of objectives.
-func (p Point) Dim() int { return len(p.Vec) }
-
 // Objective returns the i-th objective value.
 func (p Point) Objective(i int) float64 { return p.Vec[i] }
 
@@ -75,21 +72,8 @@ func dominatesVec(a, b []float64) bool {
 	return strict
 }
 
-// weaklyDominatesVec reports a[i] <= b[i] for every objective.
-func weaklyDominatesVec(a, b []float64) bool {
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // dominates reports whether p dominates q (see dominatesVec).
 func (p Point) dominates(q Point) bool { return dominatesVec(p.Vec, q.Vec) }
-
-// WeaklyDominates reports p.Vec[i] <= q.Vec[i] for every objective.
-func (p Point) WeaklyDominates(q Point) bool { return weaklyDominatesVec(p.Vec, q.Vec) }
 
 // less is the deterministic total order behind every archive decision:
 // lexicographic by (Vec, Mapping). It is consistent with dominance —
@@ -385,13 +369,6 @@ func (a *Archive) Add(p Point) bool {
 	return true
 }
 
-// AddFront offers every point of f to the archive.
-func (a *Archive) AddFront(f Front) {
-	for _, p := range f {
-		a.Add(p)
-	}
-}
-
 // Front returns the archived non-dominated front sorted by ascending
 // first objective. The returned slice is a copy; the mappings are
 // shared.
@@ -399,13 +376,6 @@ func (a *Archive) Front() Front {
 	f := make(Front, len(a.pts))
 	copy(f, a.pts)
 	return f
-}
-
-// NonDominatedRanks performs the fast non-dominated sort of NSGA-II on
-// the (ms, en) objective pair — the two-objective wrapper of
-// NonDominatedRanksVec.
-func NonDominatedRanks(ms, en []float64) []int {
-	return NonDominatedRanksVec([][]float64{ms, en})
 }
 
 // NonDominatedRanksVec performs the fast non-dominated sort of NSGA-II
@@ -462,13 +432,6 @@ func NonDominatedRanksVec(objs [][]float64) []int {
 		current = next
 	}
 	return rank
-}
-
-// CrowdingDistance returns the NSGA-II crowding distance over the
-// (ms, en) objective pair — the two-objective wrapper of
-// CrowdingDistanceVec.
-func CrowdingDistance(ms, en []float64, front []int) []float64 {
-	return CrowdingDistanceVec([][]float64{ms, en}, front)
 }
 
 // CrowdingDistanceVec returns the NSGA-II crowding distance of the

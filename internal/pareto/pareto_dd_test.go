@@ -30,12 +30,6 @@ func TestDominates3D(t *testing.T) {
 			t.Errorf("case %d: %v dominates %v = %v, want %v", i, tc.a.Vec, tc.b.Vec, got, tc.dom)
 		}
 	}
-	if !p3(1, 2, 3).WeaklyDominates(p3(1, 2, 3)) {
-		t.Error("point does not weakly dominate itself")
-	}
-	if p3(1, 2, 3).WeaklyDominates(p3(1, 2, 2.5)) {
-		t.Error("weak dominance despite a worse coordinate")
-	}
 }
 
 func TestMinObjective3D(t *testing.T) {
@@ -114,16 +108,6 @@ func TestNonDominatedRanksVec3D(t *testing.T) {
 			t.Fatalf("ranks = %v, want %v", got, want)
 		}
 	}
-	// 2-D agreement with the legacy twin-slice entry point.
-	ms := []float64{1, 2, 3, 1, 5}
-	en := []float64{5, 2, 1, 4, 5}
-	a := NonDominatedRanks(ms, en)
-	b := NonDominatedRanksVec([][]float64{ms, en})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("2-D ranks diverge: %v vs %v", a, b)
-		}
-	}
 }
 
 func TestCrowdingDistanceVec3D(t *testing.T) {
@@ -139,17 +123,6 @@ func TestCrowdingDistanceVec3D(t *testing.T) {
 	}
 	if math.IsInf(d[1], 1) || d[1] <= 0 {
 		t.Fatalf("interior point distance %v", d[1])
-	}
-	// 2-D agreement with the legacy entry point.
-	ms := []float64{1, 2, 3, 4}
-	en := []float64{4, 3, 2, 1}
-	f := []int{0, 1, 2, 3}
-	a := CrowdingDistance(ms, en, f)
-	b := CrowdingDistanceVec([][]float64{ms, en}, f)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("2-D crowding diverges: %v vs %v", a, b)
-		}
 	}
 }
 

@@ -204,7 +204,7 @@ func TestNonDominatedRanks(t *testing.T) {
 	// index 4 is infeasible and must rank last.
 	ms := []float64{1, 3, 2, 3, Infeasible}
 	en := []float64{3, 1, 3, 3, Infeasible}
-	rank := NonDominatedRanks(ms, en)
+	rank := NonDominatedRanksVec([][]float64{ms, en})
 	want := []int{0, 0, 1, 2, 3}
 	for i := range want {
 		if rank[i] != want[i] {
@@ -225,7 +225,7 @@ func TestNonDominatedRanksProperties(t *testing.T) {
 		for i, p := range pts {
 			ms[i], en[i] = p.Makespan(), p.Energy()
 		}
-		rank := NonDominatedRanks(ms, en)
+		rank := NonDominatedRanksVec([][]float64{ms, en})
 		dom := func(i, j int) bool {
 			return NewPoint([]float64{ms[i], en[i]}, nil).dominates(NewPoint([]float64{ms[j], en[j]}, nil))
 		}
@@ -259,7 +259,8 @@ func TestCrowdingDistance(t *testing.T) {
 	// symmetric.
 	ms := []float64{1, 2, 3, 4}
 	en := []float64{4, 3, 2, 1}
-	d := CrowdingDistance(ms, en, []int{0, 1, 2, 3})
+	objs := [][]float64{ms, en}
+	d := CrowdingDistanceVec(objs, []int{0, 1, 2, 3})
 	if !math.IsInf(d[0], 1) || !math.IsInf(d[3], 1) {
 		t.Fatalf("boundary distances not infinite: %v", d)
 	}
@@ -271,7 +272,7 @@ func TestCrowdingDistance(t *testing.T) {
 	}
 	// Tiny fronts: everything boundary.
 	for _, fr := range [][]int{{0}, {0, 1}} {
-		for _, v := range CrowdingDistance(ms, en, fr) {
+		for _, v := range CrowdingDistanceVec(objs, fr) {
 			if !math.IsInf(v, 1) {
 				t.Fatalf("front %v: expected all-infinite crowding", fr)
 			}

@@ -594,12 +594,7 @@ func runMember(kind MemberKind, ev *model.Evaluator, seed int64, budget, syncEve
 		}
 
 	case NSGA2:
-		pop := ga.DefaultPopulation
-		if budget < 2*pop {
-			if pop = budget / 8; pop < 4 {
-				pop = 4
-			}
-		}
+		pop := ga.PopulationFor(budget)
 		// The Budget gate, not Generations, must stop the run — including
 		// after coordinator grants, which can multiply the initial
 		// allocation (at most by the member count). The 8x headroom keeps

@@ -108,6 +108,7 @@
 package spmap
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"time"
@@ -376,7 +377,9 @@ type ParetoOptions struct {
 	Workers int
 	// Budget caps total engine evaluations (default 50100, the paper
 	// GA's budget): the sweep splits it across its weights, NSGA-II
-	// derives population x (generations+1) from it.
+	// derives population x (generations+1) from it. A budget below one
+	// evaluation per weight (sweep) or below 8, two populations of four
+	// (NSGA-II), is an error.
 	Budget int
 	// Weights are the sweep's time weights in [0, 1] (sweep only;
 	// default pareto.DefaultWeights).
@@ -418,7 +421,10 @@ func MapParetoWithEvaluator(ev *Evaluator, opt ParetoOptions) (ParetoFront, Pare
 	stats := ParetoStats{Algorithm: opt.Algorithm}
 	switch opt.Algorithm {
 	case ParetoNSGA2:
-		pop, gens := nsga2Shape(budget)
+		pop, gens, err := nsga2Shape(budget)
+		if err != nil {
+			return nil, stats, err
+		}
 		front, st := ga.MapParetoWithEvaluator(ev, ga.ParetoOptions{
 			Population: pop, Generations: gens,
 			Seed: opt.Seed, Workers: opt.Workers, Eps: opt.Eps,
@@ -433,12 +439,11 @@ func MapParetoWithEvaluator(ev *Evaluator, opt ParetoOptions) (ParetoFront, Pare
 		if len(weights) == 0 {
 			weights = pareto.DefaultWeights
 		}
-		perWeight := budget / len(weights)
-		if perWeight < 1 {
-			perWeight = 1 // a zero budget would select the sweep's default
+		if budget < len(weights) {
+			return nil, stats, fmt.Errorf("the Pareto sweep needs a budget of at least %d evaluations (one per weight), got %d", len(weights), budget)
 		}
 		front, st, err := pareto.WeightedSweep(ev, pareto.SweepOptions{
-			Weights: weights, Eps: opt.Eps, Budget: perWeight,
+			Weights: weights, Eps: opt.Eps, Budget: budget / len(weights),
 			Seed: opt.Seed, Workers: opt.Workers, Init: opt.Init,
 		})
 		if err != nil {
@@ -453,16 +458,15 @@ func MapParetoWithEvaluator(ev *Evaluator, opt ParetoOptions) (ParetoFront, Pare
 }
 
 // nsga2Shape derives NSGA-II's (population, generations) from an
-// evaluation budget: the paper's population of 100 once the budget
-// carries it, a smaller population (still >= 4) below.
-func nsga2Shape(budget int) (pop, gens int) {
-	pop = ga.DefaultPopulation
-	if budget < 2*pop {
-		if pop = budget / 8; pop < 4 {
-			pop = 4
-		}
+// evaluation budget (see ga.PopulationFor). A run evaluates at least two
+// populations, so a budget below two of the smallest is an error rather
+// than an overspend.
+func nsga2Shape(budget int) (pop, gens int, err error) {
+	if least := 2 * ga.MinPopulation; budget < least {
+		return 0, 0, fmt.Errorf("NSGA-II needs a budget of at least %d evaluations, got %d", least, budget)
 	}
-	return pop, max(budget/pop-1, 1)
+	pop = ga.PopulationFor(budget)
+	return pop, budget/pop - 1, nil
 }
 
 // NoiseModel describes multiplicative stochastic perturbations of the
@@ -506,7 +510,8 @@ type RobustOptions struct {
 	// Workers bounds the evaluation engine's worker pool (0 selects
 	// GOMAXPROCS); the front is identical for any value.
 	Workers int
-	// Budget caps candidate evaluations (default 4200); each candidate
+	// Budget caps candidate evaluations (default 4200; below 8, two
+	// NSGA-II populations of four, it is an error); each candidate
 	// additionally costs Samples perturbed simulations, so robust runs
 	// default to a much smaller budget than the nominal mappers' 50100.
 	Budget int
@@ -545,7 +550,7 @@ func MapRobustWithEvaluator(ev *Evaluator, opt RobustOptions) (ParetoFront, Robu
 	if samples == 0 {
 		samples = DefaultRobustSamples
 	}
-	robust, err := eval.NewRobustObjective(opt.Noise, samples, opt.Tail, eval.RobustTail)
+	robust, err := eval.NewRobustObjective(opt.Noise, samples, opt.Tail)
 	if err != nil {
 		return nil, RobustStats{}, err
 	}
@@ -553,7 +558,10 @@ func MapRobustWithEvaluator(ev *Evaluator, opt RobustOptions) (ParetoFront, Robu
 	if budget <= 0 {
 		budget = 4200
 	}
-	pop, gens := nsga2Shape(budget)
+	pop, gens, err := nsga2Shape(budget)
+	if err != nil {
+		return nil, RobustStats{}, err
+	}
 	front, st := ga.MapParetoWithEvaluator(ev, ga.ParetoOptions{
 		Population: pop, Generations: gens,
 		Seed: opt.Seed, Workers: opt.Workers, Eps: opt.Eps,
