@@ -52,10 +52,11 @@ import (
 // push it above the true makespan — the engine's cutoff contract (a
 // result > cutoff both certifies and lower-bounds) survives intact.
 
-// loadSlack deflates capacity lower bounds against float rounding: the
-// bound's real-arithmetic value never exceeds the true makespan, and its
-// floating-point evaluation deviates by at most ~n*eps + one rounding
-// per Apply-rebuilt sufLoad row — orders of magnitude below 1e-9.
+// loadSlack deflates the capacity and path lower bounds against float
+// rounding: a bound's real-arithmetic value never exceeds the true
+// makespan, and its floating-point evaluation deviates by at most ~n*eps
+// (a sum or chain over at most n tasks) + one rounding per Apply-rebuilt
+// sufLoad row — orders of magnitude below 1e-9.
 const loadSlack = 1 - 1e-9
 
 // slotsEqual reports equality of two slot next-free vectors. Both keep
@@ -72,8 +73,9 @@ func slotsEqual(a, b []float64) bool {
 	return true
 }
 
-// inPatch reports whether task v is one of the patched tasks (patches
-// are a handful of tasks, so a linear scan beats any index).
+// inPatch reports whether task v is in a short task list, such as an
+// order's pending list (at most pendCap tasks, so a linear scan beats
+// any index).
 func inPatch(patch []graph.NodeID, v int) bool {
 	for _, q := range patch {
 		if int(q) == v {
@@ -148,9 +150,8 @@ func (k *kernel) readerDelta(st *simState, m []int, o, pi int, patch []graph.Nod
 	delta := 0.0
 	for _, pv := range patch {
 		v := int(pv)
-		d := k.readerShift(m, o, v, int(pre.baseMO[o*n+v]), m[v],
-			pre.start[o*n+v], pre.finish[o*n+v], st.start[v], st.finish[v],
-			pi, patch)
+		d := k.readerShift(st, m, o, v, int(pre.baseMO[o*n+v]), m[v],
+			pre.start[o*n+v], pre.finish[o*n+v], st.start[v], st.finish[v], pi)
 		if d > delta {
 			delta = d
 		}
@@ -163,13 +164,14 @@ func (k *kernel) readerDelta(st *simState, m []int, o, pi int, patch []graph.Nod
 // recorded times/device (recS, recF, od) and candidate times/device
 // (newS, newF, dv). The candidate times may themselves be lower bounds
 // (the zero-replay pre-check passes analytic floors instead of replayed
-// values); the result only weakens, never breaks.
-func (k *kernel) readerShift(m []int, o, v, od, dv int, recS, recF, newS, newF float64, pi int, patch []graph.NodeID) float64 {
+// values); the result only weakens, never breaks. Patch membership is
+// read from st's patch marks (see makespanInc).
+func (k *kernel) readerShift(st *simState, m []int, o, v, od, dv int, recS, recF, newS, newF float64, pi int) float64 {
 	n := k.n
 	shift := 0.0
 	for e := k.outStart[v]; e < k.outStart[v+1]; e++ {
 		w := int(k.outTo[e])
-		if int(k.pos[o*n+w]) < pi || inPatch(patch, w) {
+		if int(k.pos[o*n+w]) < pi || st.patchMark[w] == st.patchEpoch {
 			continue
 		}
 		dw := m[w]
@@ -396,10 +398,11 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 			fin = streamDrain
 		}
 		if lbOn {
-			// Path bound: the downstream residual anticipates the whole
-			// chain below v instead of waiting for the running makespan to
-			// discover it one placement at a time.
-			if x := (fin + k.bres[v]) * loadSlack; x > bound {
+			// Path bound: the candidate's own downstream residual (st.res,
+			// see kernel.residual) anticipates the whole chain below v
+			// instead of waiting for the running makespan to discover it
+			// one placement at a time.
+			if x := (fin + st.res[v]) * loadSlack; x > bound {
 				return x, false
 			}
 		}
@@ -571,8 +574,9 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 //
 // Path bound: each patched task's finish, bounded below through its
 // recorded unpatched predecessors (an analytic floor: no slot wait,
-// patched predecessors omitted), plus the static downstream residual
-// bres. Recorded predecessor times are only valid floors up to the
+// patched predecessors omitted), plus the candidate's downstream
+// residual st.res (see kernel.residual; the caller must have filled it
+// for m). Recorded predecessor times are only valid floors up to the
 // influence of patch members placed EARLIER in this order — a member's
 // departure can pull unpatched tasks after its position (and hence a
 // later member's predecessors) backward. Members are therefore
@@ -593,24 +597,11 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 // floors as candidate times; that gap already folds in the task's own
 // shift, so the two never stack). The order's makespan is then
 // >= sufMax[0] - E. Unlike the in-replay dominance abort this needs no
-// measured state.
-func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *batchPrefix, bound float64) float64 {
+// measured state. Patch membership is read from st's patch marks, which
+// must cover exactly patch (see makespanInc).
+func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *batchPrefix) float64 {
 	n, nd := k.n, k.nd
-	// Shallow phase: each member's absolute exec floor plus its downstream
-	// residual is already a valid path bound and costs two loads per
-	// member. Only when it fails to reject does the deep phase pay for
-	// predecessor floors, reader shifts and the zero-replay budget.
 	plb := 0.0
-	for _, pv := range patch {
-		v := int(pv)
-		d := m[v]
-		if x := (k.exec[d*n+v] + k.bres[v]) * loadSlack; x > plb {
-			plb = x
-		}
-	}
-	if plb > bound {
-		return plb
-	}
 	preS := pre.start[o*n : (o+1)*n]
 	preF := pre.finish[o*n : (o+1)*n]
 	deep := len(patch) <= 32
@@ -652,7 +643,7 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 			}
 			for i := k.inStart[v]; i < k.inStart[v+1]; i++ {
 				u := int(k.inFrom[i])
-				if inPatch(patch, u) {
+				if st.patchMark[u] == st.patchEpoch {
 					continue // its own times moved with the patch
 				}
 				if k.devStreaming[d] && m[u] == d {
@@ -675,7 +666,7 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 				f = drain
 			}
 			gap := preF[v] - f
-			if s := k.readerShift(m, o, v, od, d, preS[v], preF[v], rdy, f, 0, patch); s > gap {
+			if s := k.readerShift(st, m, o, v, od, d, preS[v], preF[v], rdy, f, 0); s > gap {
 				gap = s
 			}
 			// Weaken the path-bound floor by earlier members' influence
@@ -703,7 +694,7 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 				eprefix += adv
 			}
 		}
-		if x := (f + k.bres[v]) * loadSlack; x > plb {
+		if x := (f + st.res[v]) * loadSlack; x > plb {
 			plb = x
 		}
 	}
@@ -735,13 +726,14 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 // valid an evaluation basis as a fresh recording plus the plain patch —
 // the recording faithfully describes its own baseMO row, and the
 // composed patch covers every task where m departs from that row. The
-// result aliases st.cpbuf whenever an extension is needed.
+// result aliases st.cpbuf whenever an extension is needed. st's patch
+// marks must cover exactly patch.
 func (k *kernel) composed(st *simState, m []int, o int, patch []graph.NodeID, pend []graph.NodeID, pre *batchPrefix) []graph.NodeID {
 	n := k.n
 	cp := patch
 	for _, pv := range pend {
 		v := int(pv)
-		if int(pre.baseMO[o*n+v]) == m[v] || inPatch(patch, v) {
+		if int(pre.baseMO[o*n+v]) == m[v] || st.patchMark[v] == st.patchEpoch {
 			continue
 		}
 		if len(cp) == len(patch) {
@@ -803,19 +795,20 @@ func (k *kernel) applyOrder(st *simState, base []int, o int, tasks []graph.NodeI
 }
 
 // makespanInc is makespan for a patched mapping m whose unpatched base
-// was recorded into pre: a global capacity pre-check that can reject the
-// candidate before any order is touched, then per order a path-bound
-// pre-check followed by a resume at the first patched position with
-// fast-forwarding, the dominance abort and the in-replay capacity bound
-// (see simOrderInc). ff = false disables fast-forward and dominance —
-// the plain prefix-resume path for composition-boundary-crossing
-// patches. Results are bit-identical to makespan under the same
-// contract: the returned value is the exact schedule-set minimum
-// whenever it is <= cutoff, and otherwise both exceeds the cutoff and
-// lower-bounds the true makespan. Orders are visited smallest recorded
-// makespan first (then in index order), which tightens every later
-// order's bound; only the value of an over-cutoff certificate depends on
-// the visiting order.
+// was recorded into pre: a global capacity pre-check and then, after one
+// residual sweep for m (kernel.residual), a critical-path pre-check, both
+// able to reject the candidate before any order is touched; then per
+// order a path-bound pre-check followed by a resume at the first patched
+// position with fast-forwarding, the dominance abort and the in-replay
+// capacity and path bounds (see simOrderInc). ff = false disables
+// fast-forward and dominance — the plain prefix-resume path for
+// composition-boundary-crossing patches. Results are bit-identical to
+// makespan under the same contract: the returned value is the exact
+// schedule-set minimum whenever it is <= cutoff, and otherwise both
+// exceeds the cutoff and lower-bounds the true makespan. Orders are
+// visited smallest recorded makespan first (then in index order), which
+// tightens every later order's bound; only the value of an over-cutoff
+// certificate depends on the visiting order.
 //
 // The aggregation differs slightly from makespan's because a fast-
 // forwarded order completes with its exact makespan even when that
@@ -852,6 +845,10 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 	}
 	n, nd := k.n, k.nd
 	lazy := pend != nil
+	st.patchEpoch++
+	for _, v := range patch {
+		st.patchMark[v] = st.patchEpoch
+	}
 	if k.numOrders > 0 && !math.IsInf(cutoff, 1) {
 		// Global capacity pre-check from an empty schedule (sufLoad row 0
 		// of order 0 is the whole graph's per-device load under that
@@ -880,9 +877,8 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 			return lb
 		}
 	}
-	st.patchEpoch++
-	for _, v := range patch {
-		st.patchMark[v] = st.patchEpoch
+	if crit := k.residual(st, m) * loadSlack; crit > cutoff {
+		return crit
 	}
 	// Visit the order with the smallest recorded makespan first, then the
 	// rest in index order: a candidate's best order is usually the base's,
@@ -912,7 +908,16 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 			cp = k.composed(st, m, o, patch, pend[o], pre)
 		}
 		if !math.IsInf(bound, 1) {
-			plb := k.preLB(st, m, o, cp, pre, bound)
+			// preLB reads the composed patch's marks; the replay below
+			// (pert, readerDelta) reads the plain patch's.
+			ext := cp[len(patch):]
+			for _, v := range ext {
+				st.patchMark[v] = st.patchEpoch
+			}
+			plb := k.preLB(st, m, o, cp, pre)
+			for _, v := range ext {
+				st.patchMark[v] = 0
+			}
 			if plb > bound {
 				if plb < minAbort {
 					minAbort = plb

@@ -3,12 +3,12 @@ package eval
 // White-box differential probes of the incremental kernel internals on
 // adversarial random instances (duplicate-free random DAGs rather than
 // the generator's SP graphs — the kernel must be exact on any DAG):
-// preLB soundness against exact per-order makespans, and the session
-// replay (makespanInc with pending lazy-apply lists) against full
-// simulation, with a tiny fold capacity so the applyOrder rebase path
-// runs constantly instead of once per pendCap=24 accepted moves, and
-// every folded recording against a fresh one. Both probes run on each of
-// slotPlatforms.
+// residual and preLB soundness against exact per-order makespans, and
+// the session replay (makespanInc with pending lazy-apply lists) against
+// full simulation, with a tiny fold capacity so the applyOrder rebase
+// path runs constantly instead of once per pendCap=24 accepted moves,
+// and every folded recording against a fresh one. Every probe runs on
+// each of slotPlatforms.
 
 import (
 	"math"
@@ -66,10 +66,47 @@ func wboxInstance(rng *rand.Rand, p *platform.Platform, nMin, nSpan int) (k *ker
 	return k, st, pre, base, n, nd
 }
 
+// TestResidualSound pins the per-candidate residual's obligations on
+// recorded random mappings: in every order, each task's recorded finish
+// plus its residual, and the critical path, deflated by loadSlack, stay
+// at or below the order's makespan. The critical path must also be
+// tight (within 1e-6 relative) on at least a quarter of the orders, so
+// the probe keeps testing where only loadSlack keeps the bound sound.
+func TestResidualSound(t *testing.T) {
+	orders, tight := 0, 0
+	for pi, p := range slotPlatforms() {
+		for trial := 0; trial < 3000; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			k, st, pre, base, n, _ := wboxInstance(rng, p, 3, 18)
+			cp := k.residual(st, base)
+			for o := 0; o < k.numOrders; o++ {
+				ms := pre.sufMax[o*(n+1)]
+				if cp*loadSlack > ms {
+					t.Fatalf("platform %d trial %d order %d: critical path %.17g > makespan %.17g\nbase=%v",
+						pi, trial, o, cp, ms, base)
+				}
+				for v := 0; v < n; v++ {
+					if x := (pre.finish[o*n+v] + st.res[v]) * loadSlack; x > ms {
+						t.Fatalf("platform %d trial %d order %d task %d: finish+residual %.17g > makespan %.17g\nbase=%v",
+							pi, trial, o, v, x, ms, base)
+					}
+				}
+				orders++
+				if ms-cp <= 1e-6*ms {
+					tight++
+				}
+			}
+		}
+	}
+	if 4*tight < orders {
+		t.Fatalf("critical path tight on only %d of %d orders", tight, orders)
+	}
+	t.Logf("critical path tight on %d of %d orders", tight, orders)
+}
+
 // TestPreLBSoundness pins the pre-replay lower bound's one obligation:
 // it never exceeds the exact per-order makespan of the patched
-// candidate — neither unbounded nor with a finite bound argument (which
-// only licenses early exits, never overshoot).
+// candidate, given the candidate's residual and patch marks.
 func TestPreLBSoundness(t *testing.T) {
 	for pi, p := range slotPlatforms() {
 		for trial := 0; trial < 3000; trial++ {
@@ -92,13 +129,17 @@ func TestPreLBSoundness(t *testing.T) {
 				m[v] = rng.Intn(nd)
 			}
 			st2 := k.newState()
+			k.residual(st, m)
+			st.patchEpoch++
+			for _, v := range patch {
+				st.patchMark[v] = st.patchEpoch
+			}
 			for o := 0; o < k.numOrders; o++ {
-				lb := k.preLB(st, m, o, patch, pre, math.Inf(1))
-				exact, _ := k.simOrder(st2, m, o, 1e308, nil)
-				lb2 := k.preLB(st, m, o, patch, pre, exact*(0.2+1.6*rng.Float64()))
-				if lb > exact || lb2 > exact {
-					t.Fatalf("platform %d trial %d order %d: preLB %.17g / bounded %.17g > exact %.17g\nn=%d base=%v m=%v patch=%v",
-						pi, trial, o, lb, lb2, exact, n, base, m, patch)
+				lb := k.preLB(st, m, o, patch, pre)
+				exact, _ := k.simOrder(st2, m, o, math.Inf(1), nil)
+				if lb > exact {
+					t.Fatalf("platform %d trial %d order %d: preLB %.17g > exact %.17g\nn=%d base=%v m=%v patch=%v",
+						pi, trial, o, lb, exact, n, base, m, patch)
 				}
 			}
 		}

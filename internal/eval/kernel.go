@@ -9,7 +9,8 @@
 // evaluation applies bounded early exit: the running makespan of a list
 // schedule is monotone non-decreasing while tasks are placed, and the
 // reported makespan of a mapping is the minimum over a fixed schedule
-// set, so each order's simulation aborts as soon as its partial makespan
+// set, so each order's simulation aborts as soon as its partial makespan,
+// or a placed task's finish plus the mapping's downstream residual,
 // exceeds the best completed order so far (or a caller-supplied cutoff).
 // Results are bit-identical to the straightforward simulation for every
 // value at or below the cutoff, which keeps the greedy mappers'
@@ -78,7 +79,8 @@ func streamSigma(g *graph.DAG, u, v graph.NodeID) float64 {
 // schedule set) triple. All arrays are contiguous and indexed by dense
 // ids, so an order simulation touches no Go interfaces, maps, or nested
 // slices. A kernel is safe for concurrent use; the mutable scratch lives
-// in simState.
+// in simState, and so does everything that depends on the candidate
+// mapping, such as the downstream residual every path bound reads.
 type kernel struct {
 	n  int // tasks
 	nd int // devices
@@ -157,10 +159,6 @@ type kernel struct {
 	// only the device-slot state can still differ from the memoized base
 	// recording. Mapping-independent, so it lives on the kernel.
 	maxOutPos []int32
-	// bres[v] is the downstream path residual: a mapping-free lower
-	// bound on the schedule time after v's finish (built in compile,
-	// used by the incremental evaluator's path rejection bound).
-	bres []float64
 }
 
 // compile flattens (g, p, orders) into a kernel. The orders must be
@@ -171,7 +169,7 @@ func compile(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID) *kerne
 
 // compileNoise is compile with an optional noise perturbation: non-nil
 // noise multiplies the execution-time table (and with it the energy
-// table and the downstream-residual bounds derived from it), the
+// table and every per-candidate path bound read from it), the
 // per-edge transfer payloads and the entry-task source payloads by the
 // model's hashed per-sample factors. The perturbation happens entirely
 // at compile time — the simulation loops are untouched, so a perturbed
@@ -314,54 +312,6 @@ func compileNoise(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID, n
 			}
 		}
 	}
-	// Downstream residuals: bres[v] lower-bounds, over every possible
-	// mapping, the schedule time that must elapse after v finishes —
-	// the longest chain of per-edge finish-to-finish deltas below v.
-	// Each dependence edge u -> w forces finish(w) >= finish(u) + delta
-	// with delta = exec(w on its device) in the blocking case or
-	// exec(w)/sigma in the streaming case (the drain constraint), so the
-	// mapping-free delta is min(min_d exec, min_{streaming d} exec/sigma).
-	// Any placed task v therefore certifies makespan >= finish(v) +
-	// bres[v] — the path lower bound the incremental evaluator uses to
-	// reject over-cutoff candidates without replaying their schedules
-	// (see incremental.go).
-	k.bres = make([]float64, n)
-	if k.numOrders > 0 {
-		minExec := make([]float64, n)
-		minExecStream := make([]float64, n)
-		for v := 0; v < n; v++ {
-			me, ms := math.Inf(1), math.Inf(1)
-			for d := 0; d < nd; d++ {
-				e := k.exec[d*n+v]
-				if e < me {
-					me = e
-				}
-				if k.devStreaming[d] && e < ms {
-					ms = e
-				}
-			}
-			minExec[v], minExecStream[v] = me, ms
-		}
-		// Any schedule order is a topological order; sweeping one in
-		// reverse finalizes every reader before its producers.
-		ord := k.orders[:n]
-		for j := n - 1; j >= 0; j-- {
-			w := int(ord[j])
-			bw := k.bres[w]
-			for i := k.inStart[w]; i < k.inStart[w+1]; i++ {
-				u := int(k.inFrom[i])
-				dm := minExec[w]
-				if sigma := k.inSigma[i]; sigma > 0 && !math.IsInf(minExecStream[w], 1) {
-					if x := minExecStream[w] / sigma; x < dm {
-						dm = x
-					}
-				}
-				if x := bw + dm; x > k.bres[u] {
-					k.bres[u] = x
-				}
-			}
-		}
-	}
 	return k
 }
 
@@ -388,8 +338,11 @@ type simState struct {
 	freeSum []float64
 
 	// patchMark/patchEpoch mark the tasks of the patch makespanInc is
-	// evaluating: patchMark[v] == patchEpoch iff v is patched, an O(1)
-	// membership test for the replay's per-placement bookkeeping.
+	// evaluating: patchMark[v] == patchEpoch iff v is patched, the O(1)
+	// membership test of composed, preLB, readerShift and the replay's
+	// per-placement bookkeeping. While preLB runs they also mark the
+	// order's composed-patch extension, which is unmarked to 0 (never a
+	// live epoch) before the replay.
 	patchMark  []uint64
 	patchEpoch uint64
 
@@ -397,6 +350,11 @@ type simState struct {
 	// lazy apply: the caller's patch extended with an order's pending
 	// not-yet-folded moves (see kernel.composed in incremental.go).
 	cpbuf []graph.NodeID
+
+	// res is the candidate's downstream residual (see kernel.residual).
+	// It must describe the mapping whenever simOrder, simOrderInc or preLB
+	// runs under a finite bound; makespan and makespanInc fill it.
+	res []float64
 }
 
 func (k *kernel) newState() *simState {
@@ -412,6 +370,7 @@ func (k *kernel) newState() *simState {
 		freeSum:   make([]float64, k.nd),
 		patchMark: make([]uint64, k.n),
 		cpbuf:     make([]graph.NodeID, 0, k.n),
+		res:       make([]float64, k.n),
 	}
 }
 
@@ -542,20 +501,63 @@ func (k *kernel) transfer(a, b int, bytes float64) float64 {
 	return k.pairLat[pi] + bytes/k.pairBW[pi]
 }
 
+// residual writes into st.res, for every task v, the longest chain of
+// finish-to-finish deltas below v under the candidate mapping m, and
+// returns m's contention-free critical path. An edge v -> w forces
+// finish(w) >= finish(v) + delta, where delta is exec(w)/sigma across a
+// co-mapped streaming edge (simOrder's drain constraint) and otherwise
+// the transfer into w's device plus exec(w) there. So any replay of m
+// that finishes v at fin has makespan >= fin + res[v], and every order's
+// makespan is at least the critical path: the longest such chain from
+// any task's exec (plus its entry data's transfer from the host). Both
+// hold in real arithmetic; readers deflate them by loadSlack. Sweeping a
+// schedule order (a topological order) backwards finalizes every reader
+// before its producers, so the sweep is O(tasks + edges).
+func (k *kernel) residual(st *simState, m []int) float64 {
+	n, res, cp := k.n, st.res, 0.0
+	order := k.orders[:n]
+	for j := n - 1; j >= 0; j-- {
+		v := int(order[j])
+		dv := m[v]
+		r := 0.0
+		for e := k.outStart[v]; e < k.outStart[v+1]; e++ {
+			w, ie := int(k.outTo[e]), k.outEdge[e]
+			dw := m[w]
+			x := k.exec[dw*n+w]
+			if sigma := k.inSigma[ie]; dv == dw && sigma > 0 && k.devStreaming[dw] {
+				x /= sigma
+			} else {
+				x += k.transfer(dv, dw, k.inBytes[ie])
+			}
+			if x += res[w]; x > r {
+				r = x
+			}
+		}
+		res[v] = r
+		if x := k.transfer(k.host, dv, k.entryBytes[v]) + k.exec[dv*n+v] + r; x > cp {
+			cp = x
+		}
+	}
+	return cp
+}
+
 // simOrder simulates the o-th schedule order of mapping m from an empty
 // schedule. It returns the makespan and true if the simulation ran to
-// completion; if the partial makespan ever exceeds bound, it aborts and
-// returns (partial, false). Every floating-point operation matches
-// model.Evaluator.MakespanOrder in value and sequence, so completed
-// simulations are bit-identical to the reference.
+// completion; if the partial makespan, or a placed task's finish plus
+// its downstream residual st.res (deflated by loadSlack), ever exceeds
+// bound, it aborts and returns that value with false. Every floating-
+// point operation of a placement matches model.Evaluator.MakespanOrder
+// in value and sequence, so completed simulations are bit-identical to
+// the reference.
 //
 // When rec is non-nil the simulation additionally records order o into
 // it — per-task start/finish plus per-position slot/makespan checkpoints
 // — for later resumption (see buildPrefix); recording requires an
-// infinite bound and routes the task times into rec's arrays so the one
+// infinite bound, so the residual abort never fires and st.res may be
+// stale. Record mode routes the task times into rec's arrays so the one
 // placement loop serves both modes and cannot drift.
 func (k *kernel) simOrder(st *simState, m []int, o int, bound float64, rec *batchPrefix) (float64, bool) {
-	n := k.n
+	n, res := k.n, st.res
 	var makespan float64
 	for i := range st.free {
 		st.free[i] = 0
@@ -618,6 +620,9 @@ func (k *kernel) simOrder(st *simState, m []int, o int, bound float64, rec *batc
 		fin := startT + execD[v]
 		if streamDrain > fin {
 			fin = streamDrain
+		}
+		if x := (fin + res[v]) * loadSlack; x > bound {
+			return x, false
 		}
 		start[v], finish[v] = startT, fin
 		if s0 < s1 {
@@ -682,10 +687,16 @@ func (k *kernel) buildPrefix(st *simState, base []int, pre *batchPrefix) {
 // bounded early exit. The result is the exact schedule-set minimum
 // (bit-identical to the reference simulation) whenever it is <= cutoff;
 // otherwise some partial lower bound > cutoff is returned. Infeasible
-// mappings yield Infeasible.
+// mappings yield Infeasible. It fills st.res for m once (kernel.residual)
+// and returns the critical path as that lower bound when it alone
+// exceeds the cutoff; otherwise every order replays with the residual
+// abort armed against the cutoff or the best completed order.
 func (k *kernel) makespan(st *simState, m []int, cutoff float64) float64 {
 	if !k.feasible(st, m) {
 		return Infeasible
+	}
+	if crit := k.residual(st, m) * loadSlack; crit > cutoff {
+		return crit
 	}
 	best := math.Inf(1)     // min over completed orders
 	minAbort := math.Inf(1) // min over aborted partials (all > cutoff-ish)

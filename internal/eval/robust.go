@@ -40,7 +40,6 @@ type RobustObjective struct {
 	tail    float64
 
 	mu   sync.Mutex
-	berr error     // deferred engine-build failure (nil inputs)
 	forK *kernel   // kernel the sample engines were built for
 	eng  []*Engine // one perturbed engine per sample
 }
@@ -81,7 +80,7 @@ func (ro *RobustObjective) sampleEngines(e *Engine) ([]*Engine, error) {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	if ro.forK == e.k {
-		return ro.eng, ro.berr
+		return ro.eng, nil
 	}
 	if e.g == nil || e.p == nil {
 		return nil, fmt.Errorf("eval: robust objective needs an engine built by NewEngine/NewEngineSchedules")
@@ -90,7 +89,7 @@ func (ro *RobustObjective) sampleEngines(e *Engine) ([]*Engine, error) {
 	for s := range eng {
 		eng[s] = NewEngineNoise(e.g, e.p, e.orders, ro.noise, s, Options{Workers: e.workers})
 	}
-	ro.forK, ro.eng, ro.berr = e.k, eng, nil
+	ro.forK, ro.eng = e.k, eng
 	return eng, nil
 }
 
