@@ -548,8 +548,8 @@ func benchmarkReplay(b *testing.B, n int, cold bool) {
 // protocol. Evaluate<n> is the pure candidate-rejection path (cutoff =
 // incumbent, nothing applied): the global capacity bound plus bounded
 // resumed replays. Move<n> interleaves one Apply every 8 candidates, so
-// the lazy-apply folds (the windowed recording rebase) are amortized
-// into the per-move cost the way a real search pays them. Run with
+// its folds (the windowed recording rebase) are amortized into the
+// per-move cost the way a real search pays them. Run with
 // -benchmem: the scratch-reuse audit pins 0 allocs/op for both.
 
 func benchmarkIncrementalSession(b *testing.B, n, acceptEvery int) {

@@ -132,13 +132,6 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Len returns the number of cached mappings.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
 // lookup returns the entry under key, counting a hit or miss. The key
 // slice is not retained.
 func (c *Cache) lookup(key []byte) (cacheEntry, bool) {

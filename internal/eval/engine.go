@@ -113,9 +113,6 @@ func normWorkers(w int) int {
 // NumSchedules returns the size of the compiled schedule set.
 func (e *Engine) NumSchedules() int { return e.k.numOrders }
 
-// Workers returns the batch fan-out width.
-func (e *Engine) Workers() int { return e.workers }
-
 // WithWorkers returns an engine sharing this engine's kernel, state
 // pool and cache but fanning batches out over w goroutines (w <= 0
 // selects GOMAXPROCS). The receiver is not modified.
@@ -473,7 +470,7 @@ func (e *Engine) evalOp(st *simState, op Op, cutoff float64, pre *lazyPrefix, pr
 		var ms float64
 		sim := func() float64 {
 			if pre != nil && preBase == &op.Base[0] {
-				return e.k.makespanInc(st, st.mbuf, op.Patch, pre.get(), cutoff, true, nil, nil)
+				return e.k.makespanInc(st, st.mbuf, op.Patch, pre.get(), cutoff, true)
 			}
 			return e.k.makespan(st, st.mbuf, cutoff)
 		}

@@ -12,12 +12,10 @@ import (
 // reconverges with a memoized base recording, a capacity lower bound
 // that rejects over-cutoff candidates without replaying them at all, and
 // a long-lived session (Incremental) that keeps one such recording alive
-// across a whole local search. Accepted moves do not re-record: they are
-// appended to per-order pending lists, and each order folds them into
-// its recording (applyOrder — a windowed in-place rebase) only when an
-// Evaluate actually replays that order; until then the order keeps
-// rejecting candidates against its stale recording via the composed
-// patch. See Incremental and Apply for the full lazy-apply contract.
+// across a whole local search. Accepted moves do not re-record: Apply
+// folds each one into every order's recording at once (applyOrder — a
+// windowed in-place rebase), so the recording always describes the
+// session base exactly.
 //
 // Why state reconvergence instead of literal SP-subtree recomposition: a
 // list schedule couples unrelated SP subtrees through device-slot
@@ -71,18 +69,6 @@ func slotsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// inPatch reports whether task v is in a short task list, such as an
-// order's pending list (at most pendCap tasks, so a linear scan beats
-// any index).
-func inPatch(patch []graph.NodeID, v int) bool {
-	for _, q := range patch {
-		if int(q) == v {
-			return true
-		}
-	}
-	return false
 }
 
 // slotGap returns how far slot state a lags behind slot state b: the
@@ -150,7 +136,7 @@ func (k *kernel) readerDelta(st *simState, m []int, o, pi int, patch []graph.Nod
 	delta := 0.0
 	for _, pv := range patch {
 		v := int(pv)
-		d := k.readerShift(st, m, o, v, int(pre.baseMO[o*n+v]), m[v],
+		d := k.readerShift(st, m, o, v, int(pre.baseM[v]), m[v],
 			pre.start[o*n+v], pre.finish[o*n+v], st.start[v], st.finish[v], pi)
 		if d > delta {
 			delta = d
@@ -280,7 +266,7 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 		copy(load, pre.sufLoad[(o*(n+1)+r)*nd:(o*(n+1)+r+1)*nd])
 		for _, pv := range patch {
 			v := int(pv)
-			od, dv := int(pre.baseMO[o*n+v]), m[v]
+			od, dv := int(pre.baseM[v]), m[v]
 			load[od] -= k.exec[od*n+v]
 			load[dv] += k.exec[dv*n+v]
 		}
@@ -460,7 +446,9 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 // compared against before overwrite, since the fast-forward check and
 // the dynamic barrier consult the OLD recording — and the msCkpt suffix
 // and sufMax prefix are then repaired by two scalar passes. The result
-// is bit-identical to a fresh buildPrefix of m.
+// is bit-identical to a fresh buildPrefix of m, which is this replay from
+// position 0 with barrier n (no fast-forward): one loop writes every
+// recording.
 //
 // This is simOrderInc's placement arithmetic with everything evaluation-
 // specific stripped: no bounds or dominance (the replay must be exact to
@@ -636,7 +624,7 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 		ex := k.exec[d*n+v]
 		f := ex
 		if deep {
-			od := int(pre.baseMO[o*n+v])
+			od := int(pre.baseM[v])
 			rdy, drain := 0.0, 0.0
 			if eb := k.entryBytes[v]; eb > 0 {
 				rdy = k.transfer(k.host, d, eb)
@@ -719,89 +707,50 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 	return plb
 }
 
-// composed returns order o's effective patch: the caller's patch
-// extended with every pending lazily-applied task whose recorded device
-// in this order's (possibly stale) recording differs from the candidate
-// mapping m. The recording plus the composed patch is then exactly as
-// valid an evaluation basis as a fresh recording plus the plain patch —
-// the recording faithfully describes its own baseMO row, and the
-// composed patch covers every task where m departs from that row. The
-// result aliases st.cpbuf whenever an extension is needed. st's patch
-// marks must cover exactly patch.
-func (k *kernel) composed(st *simState, m []int, o int, patch []graph.NodeID, pend []graph.NodeID, pre *batchPrefix) []graph.NodeID {
-	n := k.n
-	cp := patch
-	for _, pv := range pend {
-		v := int(pv)
-		if int(pre.baseMO[o*n+v]) == m[v] || st.patchMark[v] == st.patchEpoch {
-			continue
-		}
-		if len(cp) == len(patch) {
-			cp = append(st.cpbuf[:0], patch...)
-		}
-		cp = append(cp, pv)
-	}
-	return cp
+// applyOrder folds moved — the tasks whose device base changed since
+// order o was recorded, every other task still matching the recording —
+// into order o's recording: it re-derives the dirty sufLoad rows and
+// replays the dirty window patchWindow finds in rebase mode. The result
+// is bit-identical to a fresh buildPrefix of base on this order, because
+// the rebase replays from the first moved position to bit-exact
+// reconvergence.
+func (k *kernel) applyOrder(st *simState, base []int, o int, moved []graph.NodeID, pre *batchPrefix) {
+	i0, pmax, barrier := k.patchWindow(o, moved)
+	k.sufLoads(base, o, pmax, pre)
+	k.rebaseOrder(st, base, o, i0, barrier, pre)
 }
 
-// applyOrder folds a batch of pending moves into order o's recording:
-// tasks lists the candidates (typically the session's pending list),
-// base is the mapping the recording must describe afterwards. Tasks
-// whose recorded device already matches base are skipped; if any
-// remain, the baseMO row and the dirty sufLoad rows are re-derived and
-// the dirty window is replayed in rebase mode. The result is
-// bit-identical to a fresh buildPrefix of base on this order, exactly
-// like the eager per-move rebase it batches up — deferring and folding
-// several moves at once changes nothing, because the rebase replays
-// from the first changed position to bit-exact reconvergence.
-func (k *kernel) applyOrder(st *simState, base []int, o int, tasks []graph.NodeID, pre *batchPrefix) {
-	n, nd := k.n, k.nd
-	i0, pmax, barrier := n, -1, -1
-	for _, pv := range tasks {
-		v := int(pv)
-		if int(pre.baseMO[o*n+v]) == base[v] {
-			continue
-		}
-		if p := int(k.pos[o*n+v]); p < i0 {
-			i0 = p
-		}
-		if p := int(k.pos[o*n+v]); p > pmax {
-			pmax = p
-		}
-		if b := int(k.maxOutPos[o*n+v]); b > barrier {
-			barrier = b
+// commit moves every task of patch to device in base and folds the move
+// into pre, which must record base: it keeps the tasks whose device
+// actually changes, writes them into base and pre's base row, and then
+// folds every order through applyOrder. pre is afterwards bit-identical
+// to a fresh buildPrefix of the new base; a commit that moves no task
+// leaves it untouched.
+func (k *kernel) commit(st *simState, base []int, patch []graph.NodeID, device int, pre *batchPrefix) {
+	moved := st.moved[:0]
+	for _, v := range patch {
+		if base[v] != device {
+			base[v] = device
+			pre.baseM[v] = int32(device)
+			moved = append(moved, v)
 		}
 	}
-	if pmax < 0 {
-		return // every pending task re-matched its recorded device
+	if len(moved) == 0 {
+		return
 	}
-	for _, pv := range tasks {
-		v := int(pv)
-		pre.baseMO[o*n+v] = int32(base[v])
+	for o := 0; o < k.numOrders; o++ {
+		k.applyOrder(st, base, o, moved, pre)
 	}
-	// Re-derive the sufLoad rows covering the changed positions from the
-	// first untouched row — the same recurrence buildPrefix uses, so the
-	// result is bit-identical to a fresh build and immune to incremental
-	// float drift.
-	sl := pre.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]
-	order := k.orders[o*n : (o+1)*n]
-	for j := pmax; j >= 0; j-- {
-		copy(sl[j*nd:(j+1)*nd], sl[(j+1)*nd:(j+2)*nd])
-		v := int(order[j])
-		d := base[v]
-		sl[j*nd+d] += k.exec[d*n+v]
-	}
-	k.rebaseOrder(st, base, o, i0, barrier, pre)
 }
 
 // makespanInc is makespan for a patched mapping m whose unpatched base
 // was recorded into pre: a global capacity pre-check and then, after one
 // residual sweep for m (kernel.residual), a critical-path pre-check, both
 // able to reject the candidate before any order is touched; then per
-// order a path-bound pre-check followed by a resume at the first patched
-// position with fast-forwarding, the dominance abort and the in-replay
-// capacity and path bounds (see simOrderInc). ff = false disables
-// fast-forward and dominance — the plain prefix-resume path for
+// order a path-bound pre-check (preLB) followed by a resume at the first
+// patched position with fast-forwarding, the dominance abort and the
+// in-replay capacity and path bounds (see simOrderInc). ff = false
+// disables fast-forward and dominance — the plain prefix-resume path for
 // composition-boundary-crossing patches. Results are bit-identical to
 // makespan under the same contract: the returned value is the exact
 // schedule-set minimum whenever it is <= cutoff, and otherwise both
@@ -817,53 +766,26 @@ func (k *kernel) applyOrder(st *simState, base []int, o int, tasks []graph.NodeI
 // against bound = cutoff (best never dipped below it), so
 // min(best, minAbort) still exceeds the cutoff while lower-bounding the
 // true minimum — exactly the certificate the engine promises.
-//
-// base/pend carry the incremental session's lazy-apply state (nil from
-// the batch path, whose recording is always fresh): pend[o] lists the
-// accepted moves not yet folded into order o's recording. Each order is
-// pre-checked against its stale recording with the composed patch —
-// sound, because the recording faithfully describes its own baseMO row
-// and the composed patch covers every diff to the candidate, so the
-// stale recording plus the composed patch is the same evaluation basis
-// as a fresh recording plus the plain patch. Only when the pre-check
-// fails to reject (the order is "hot" and will actually replay) are the
-// pending moves folded in (applyOrder), after which the replay runs
-// against a fresh recording with the plain patch — keeping the fast-
-// forward barrier and the dominance window tight, and keeping the NEXT
-// pre-check on this order strong (a fresh order's composed patch is the
-// plain patch, whose small rewrite budget E rejects far more). Cold
-// orders — recorded makespan far above the bound — keep rejecting
-// against their stale recording and never pay the fold; their pending
-// lists drain in Incremental.Apply when they outgrow the cap. Returned
-// values are unchanged wherever they are <= cutoff (completed replays
-// run on freshened recordings and are exact); above the cutoff both the
-// stale and fresh pre-check bounds certify and lower-bound, which is
-// all the contract promises.
-func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *batchPrefix, cutoff float64, ff bool, base []int, pend [][]graph.NodeID) float64 {
+func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *batchPrefix, cutoff float64, ff bool) float64 {
 	if !k.feasible(st, m) {
 		return Infeasible
 	}
 	n, nd := k.n, k.nd
-	lazy := pend != nil
 	st.patchEpoch++
 	for _, v := range patch {
 		st.patchMark[v] = st.patchEpoch
 	}
 	if k.numOrders > 0 && !math.IsInf(cutoff, 1) {
 		// Global capacity pre-check from an empty schedule (sufLoad row 0
-		// of order 0 is the whole graph's per-device load under that
-		// order's recorded base row): every order's makespan is at least
+		// of order 0 is the whole graph's per-device load under the
+		// recorded base): every order's makespan is at least
 		// load[d]/slots[d], so a bound above the cutoff rejects the
 		// candidate in O(|patch| + devices).
-		cp0 := patch
-		if lazy {
-			cp0 = k.composed(st, m, 0, patch, pend[0], pre)
-		}
 		load := st.load
 		copy(load, pre.sufLoad[:nd])
-		for _, pv := range cp0 {
+		for _, pv := range patch {
 			v := int(pv)
-			od, dv := int(pre.baseMO[v]), m[v]
+			od, dv := int(pre.baseM[v]), m[v]
 			load[od] -= k.exec[od*n+v]
 			load[dv] += k.exec[dv*n+v]
 		}
@@ -903,36 +825,13 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 		if best < bound {
 			bound = best
 		}
-		cp := patch
-		if lazy {
-			cp = k.composed(st, m, o, patch, pend[o], pre)
-		}
 		if !math.IsInf(bound, 1) {
-			// preLB reads the composed patch's marks; the replay below
-			// (pert, readerDelta) reads the plain patch's.
-			ext := cp[len(patch):]
-			for _, v := range ext {
-				st.patchMark[v] = st.patchEpoch
-			}
-			plb := k.preLB(st, m, o, cp, pre)
-			for _, v := range ext {
-				st.patchMark[v] = 0
-			}
-			if plb > bound {
+			if plb := k.preLB(st, m, o, patch, pre); plb > bound {
 				if plb < minAbort {
 					minAbort = plb
 				}
 				continue
 			}
-		}
-		if len(cp) > len(patch) {
-			// Hot stale order: fold the pending moves in, then replay the
-			// plain patch against the now-fresh recording. Folding on the
-			// first hot hit measures fastest: tolerating even two pending
-			// diffs in the replayed patch widens the dominance window and
-			// rewrite budget enough to cost more than the fold saves.
-			k.applyOrder(st, base, o, pend[o], pre)
-			pend[o] = pend[o][:0]
 		}
 		i0, pmax, barrier := k.patchWindow(o, patch)
 		if !ff {
@@ -961,8 +860,8 @@ type IncrementalStats struct {
 	// Evals counts Evaluate calls; FastPath of those took the
 	// fast-forward path, Fallback the plain prefix-resume path.
 	Evals, FastPath, Fallback int
-	// Applies counts accepted-move rebases, Rebuilds full recordings
-	// (the initial one plus one per Rebase actually followed by use).
+	// Applies counts committed moves, Rebuilds full recordings (the
+	// initial one plus one per Rebase actually followed by use).
 	Applies, Rebuilds int
 }
 
@@ -977,11 +876,12 @@ type IncrementalStats struct {
 //     capacity bound rejects most over-cutoff candidates outright; the
 //     rest resume each order at the first patched position with fast-
 //     forwarding and the in-replay capacity bound (simOrderInc). Moves
-//     whose patch the gate rejects (boundary-crossing co-moves) fall
-//     back to the plain prefix-resume replay — still resumed and still
-//     capacity-bounded, just without fast-forward.
-//   - Apply: commit a patch to the base, repairing the recording in
-//     place (a windowed rebase per order) rather than re-recording.
+//     whose patch the gate rejects fall back to the plain prefix-resume
+//     replay — still resumed and still capacity-bounded, just without
+//     fast-forward.
+//   - Apply: commit a patch to the base, folding it into every order's
+//     recording at once (a windowed in-place rebase per order) rather
+//     than re-recording.
 //   - Rebase: adopt an arbitrary new base (elite restarts, kicks); the
 //     recording is rebuilt lazily on next use.
 //
@@ -993,37 +893,23 @@ type IncrementalStats struct {
 // for concurrent use. Close returns the held buffers to the engine's
 // pools.
 type Incremental struct {
-	e    *Engine
-	gate func([]graph.NodeID) bool
-	base []int
-	st   *simState
-	pre  *batchPrefix
-
-	// pend[o] holds the accepted moves not yet folded into order o's
-	// recording (the lazy apply): Apply only appends here, and an order
-	// pays the fold (kernel.applyOrder) the first time an Evaluate
-	// actually needs to replay it. Orders whose recorded makespan stays
-	// far above the search's cutoffs keep rejecting candidates against
-	// their stale recording via the composed patch and never pay at all.
-	// clean is false while any order may have pending moves.
-	pend  [][]graph.NodeID
-	clean bool
-
+	e     *Engine
+	gate  func([]graph.NodeID) bool
+	base  []int
+	st    *simState
+	pre   *batchPrefix
 	ready bool
 	stats IncrementalStats
 }
 
-// pendCap bounds a per-order pending list: beyond it Apply folds the
-// order eagerly. It keeps composed patches within preLB's deep-analysis
-// cap (32) and the stale resume windows short.
-const pendCap = 24
-
 // Incremental opens an incremental evaluation session around a private
 // copy of base. gate, if non-nil, decides per patch whether the
-// fast-forward path applies (the localsearch wiring passes an sp.Index
-// membership test: patches within one decomposition tree fast-forward,
-// boundary-crossing ones fall back); single-task patches always
-// fast-forward. base must have one entry per task of the compiled graph.
+// fast-forward path applies (patches it rejects fall back to the plain
+// prefix-resume replay); single-task patches always fast-forward, and
+// with a nil gate every patch does. The mappers pass nil: fast-forward
+// is exact for any patch, and every patch they propose lies inside one
+// decomposition tree. base must have one entry per task of the compiled
+// graph.
 func (e *Engine) Incremental(base mapping.Mapping, gate func([]graph.NodeID) bool) *Incremental {
 	s := &Incremental{
 		e:    e,
@@ -1031,13 +917,6 @@ func (e *Engine) Incremental(base mapping.Mapping, gate func([]graph.NodeID) boo
 		base: make([]int, len(base)),
 		st:   e.getState(),
 		pre:  e.prePool.Get().(*batchPrefix),
-		pend: make([][]graph.NodeID, e.k.numOrders),
-	}
-	// One backing array for every order's pending list; the full slice
-	// expression caps each list at its own stripe.
-	stripes := make([]graph.NodeID, len(s.pend)*pendCap)
-	for o := range s.pend {
-		s.pend[o] = stripes[o*pendCap : o*pendCap : (o+1)*pendCap]
 	}
 	copy(s.base, base)
 	return s
@@ -1048,29 +927,8 @@ func (s *Incremental) ensure() {
 	if !s.ready {
 		s.stats.Rebuilds++
 		s.e.k.buildPrefix(s.st, s.base, s.pre)
-		for o := range s.pend {
-			s.pend[o] = s.pend[o][:0]
-		}
-		s.clean = true
 		s.ready = true
 	}
-}
-
-// flush folds every order's pending moves into the recording, leaving
-// it bit-identical to a fresh build of the current base.
-func (s *Incremental) flush() {
-	if s.clean {
-		return
-	}
-	k := s.e.k
-	for o := range s.pend {
-		if len(s.pend[o]) == 0 {
-			continue
-		}
-		k.applyOrder(s.st, s.base, o, s.pend[o], s.pre)
-		s.pend[o] = s.pend[o][:0]
-	}
-	s.clean = true
 }
 
 // Evaluate returns the makespan of the session base with every patched
@@ -1078,11 +936,10 @@ func (s *Incremental) flush() {
 // The base itself is not modified. Patches must not repeat a task.
 func (s *Incremental) Evaluate(patch []graph.NodeID, device int, cutoff float64) float64 {
 	s.stats.Evals++
-	s.ensure()
 	if len(patch) == 0 {
-		s.flush()
-		return s.makespanFromMemo()
+		return s.Makespan()
 	}
+	s.ensure()
 	st := s.st
 	if st.basePtr != &s.base[0] {
 		copy(st.mbuf, s.base)
@@ -1097,54 +954,25 @@ func (s *Incremental) Evaluate(patch []graph.NodeID, device int, cutoff float64)
 	} else {
 		s.stats.Fallback++
 	}
-	ms := s.e.k.makespanInc(st, st.mbuf, patch, s.pre, cutoff, ff, s.base, s.pend)
+	ms := s.e.k.makespanInc(st, st.mbuf, patch, s.pre, cutoff, ff)
 	for _, v := range patch {
 		st.mbuf[v] = s.base[v]
 	}
 	return ms
 }
 
-// Apply commits a patch to the session base. The recording is NOT
-// repaired eagerly: the move is appended to every order's pending list,
-// and an order folds its pending moves in (kernel.applyOrder — the
-// windowed rebase, bit-identical to a fresh build of the new base) the
-// first time an Evaluate actually replays it. Until then the order
-// serves pre-check rejections from its stale recording via the composed
-// patch, which is just as sound and costs nothing on commit. An order
-// whose pending list would outgrow pendCap is folded here instead.
-// Patches must not repeat a task.
+// Apply commits a patch to the session base and folds it into every
+// order's recording at once (kernel.commit — a windowed rebase per
+// order, bit-identical to a fresh build of the new base). Patches must
+// not repeat a task.
 func (s *Incremental) Apply(patch []graph.NodeID, device int) {
 	s.ensure()
 	if len(patch) == 0 {
 		return
 	}
 	s.stats.Applies++
-	k := s.e.k
-	// Fold overflowing orders BEFORE the base absorbs this patch: the
-	// fold replays with the session base, which must still agree with
-	// the recording on every task outside the order's pending list —
-	// this patch's tasks stay pending (appended below), so folding them
-	// in here would desynchronize the recording from its baseMO row.
-	for o := range s.pend {
-		if pd := s.pend[o]; len(pd)+len(patch) > pendCap {
-			k.applyOrder(s.st, s.base, o, pd, s.pre)
-			s.pend[o] = pd[:0]
-		}
-	}
-	for _, v := range patch {
-		s.base[v] = device
-	}
+	s.e.k.commit(s.st, s.base, patch, device, s.pre)
 	s.st.basePtr = nil // mbuf no longer mirrors the base contents
-	s.clean = false
-	for o := range s.pend {
-		pd := s.pend[o]
-		for _, pv := range patch {
-			if !inPatch(pd, int(pv)) {
-				pd = append(pd, pv)
-			}
-		}
-		s.pend[o] = pd
-	}
 }
 
 // Rebase adopts an arbitrary new base mapping (elite restart, kick,
@@ -1162,11 +990,6 @@ func (s *Incremental) Rebase(m mapping.Mapping) {
 // read off the recording's sufMax root entry, no simulation at all.
 func (s *Incremental) Makespan() float64 {
 	s.ensure()
-	s.flush()
-	return s.makespanFromMemo()
-}
-
-func (s *Incremental) makespanFromMemo() float64 {
 	k := s.e.k
 	if !k.feasible(s.st, s.base) {
 		return Infeasible

@@ -2,7 +2,7 @@ package eval_test
 
 // Black-box tests of the Incremental session: equivalence with the
 // engine on materialized mappings (exact and under the cutoff
-// contract), lazy-apply folding across the pendCap overflow, Rebase,
+// contract), accepted moves folded into the recording, Rebase,
 // gate-driven fallback accounting and the steady-state allocation
 // audit.
 
@@ -19,8 +19,8 @@ import (
 )
 
 // TestIncrementalMatchesEngine drives a long hill-climb-style session —
-// single-task moves, co-moves, rejections, pendCap-crossing apply runs
-// and occasional rebases — and checks every Evaluate against
+// single-task moves, co-moves, rejections, long apply runs and
+// occasional rebases — and checks every Evaluate against
 // Engine.MakespanCutoff on the materialized mapping under the cutoff
 // contract, and every Makespan against Engine.Makespan.
 func TestIncrementalMatchesEngine(t *testing.T) {
@@ -70,8 +70,8 @@ func TestIncrementalMatchesEngine(t *testing.T) {
 			case want <= cutoff:
 				t.Fatalf("seed %d step %d: false reject %v of %v <= cutoff %v", seed, step, got, want, cutoff)
 			}
-			// Accept aggressively: long accept runs push every order's
-			// pending list across pendCap and exercise the fold path.
+			// Accept aggressively: long accept runs fold many moves into
+			// one recording between rebuilds.
 			if rng.Intn(3) != 0 {
 				inc.Apply(patch, dev)
 				cur.Assign(patch, dev)
@@ -172,8 +172,8 @@ func TestIncrementalEdgeCases(t *testing.T) {
 
 // TestIncrementalSteadyStateAllocs is the scratch-reuse allocation
 // audit: once a session is warm, Evaluate and Apply must not allocate —
-// the session owns its recording, scratch state and pending lists for
-// its whole lifetime.
+// the session owns its recording and scratch state for its whole
+// lifetime.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(5))
@@ -197,7 +197,7 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 		step++
 	}
 	for i := 0; i < 50; i++ {
-		move() // warm up: recording built, pending lists at capacity
+		move() // warm up: recording built, scratch at full size
 	}
 	if allocs := testing.AllocsPerRun(200, move); allocs != 0 {
 		t.Fatalf("steady-state session move allocates %.1f times per run, want 0", allocs)

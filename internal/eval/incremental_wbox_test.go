@@ -4,11 +4,9 @@ package eval
 // adversarial random instances (duplicate-free random DAGs rather than
 // the generator's SP graphs — the kernel must be exact on any DAG):
 // residual and preLB soundness against exact per-order makespans, and
-// the session replay (makespanInc with pending lazy-apply lists) against
-// full simulation, with a tiny fold capacity so the applyOrder rebase
-// path runs constantly instead of once per pendCap=24 accepted moves,
-// and every folded recording against a fresh one. Every probe runs on
-// each of slotPlatforms.
+// the session replay (makespanInc) against full simulation, with every
+// recording the session's commit folds checked against a fresh one.
+// Every probe runs on each of slotPlatforms.
 
 import (
 	"math"
@@ -136,7 +134,7 @@ func TestPreLBSoundness(t *testing.T) {
 			}
 			for o := 0; o < k.numOrders; o++ {
 				lb := k.preLB(st, m, o, patch, pre)
-				exact, _ := k.simOrder(st2, m, o, math.Inf(1), nil)
+				exact, _ := k.simOrder(st2, m, o, math.Inf(1))
 				if lb > exact {
 					t.Fatalf("platform %d trial %d order %d: preLB %.17g > exact %.17g\nn=%d base=%v m=%v patch=%v",
 						pi, trial, o, lb, exact, n, base, m, patch)
@@ -146,37 +144,36 @@ func TestPreLBSoundness(t *testing.T) {
 	}
 }
 
-// TestSessionReplayExact mirrors Incremental's Evaluate/Apply loop at
-// the kernel layer with a fold capacity of 7 (versus pendCap's 24), so
-// random move sequences constantly exercise the applyOrder windowed
-// rebase, the composed-patch stale resume and the fold-before-update
-// ordering — each Evaluate must satisfy the cutoff contract against a
-// full fresh simulation, and after every fold each order without
-// pending moves must hold exactly the recording a fresh buildPrefix of
-// the current base writes (rebaseOrder's promise).
+// TestSessionReplayExact drives Incremental's Evaluate/Apply loop at the
+// kernel layer on random move sequences: each Evaluate (makespanInc)
+// must satisfy the cutoff contract against a full fresh simulation, and
+// after every commit — the fold Incremental.Apply runs — every order
+// must hold exactly the recording a fresh buildPrefix of the new base
+// writes (rebaseOrder's promise). Re-committing a just-committed move
+// moves no task and must leave the recording bit-for-bit unchanged.
 func TestSessionReplayExact(t *testing.T) {
-	const foldCap = 7
-	folds := 0
+	commits, noops := 0, 0
 	for pi, p := range slotPlatforms() {
 		for trial := 0; trial < 1000; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial)))
 			k, st, pre, base, n, nd := wboxInstance(rng, p, 3, 24)
-			pend := make([][]graph.NodeID, k.numOrders)
 			st2 := k.newState()
-			fresh := k.newPrefix()
+			fresh, before := k.newPrefix(), k.newPrefix()
 			for step := 0; step < 30; step++ {
 				np := 1 + rng.Intn(3)
 				if np > n {
 					np = n
 				}
 				var patch []graph.NodeID
+				seen := map[int]bool{}
 				dev := rng.Intn(nd)
 				m := append([]int(nil), base...)
 				for len(patch) < np {
 					v := rng.Intn(n)
-					if inPatch(patch, v) {
+					if seen[v] {
 						continue
 					}
+					seen[v] = true
 					patch = append(patch, graph.NodeID(v))
 					m[v] = dev
 				}
@@ -185,16 +182,12 @@ func TestSessionReplayExact(t *testing.T) {
 				if rng.Intn(2) == 0 && !math.IsInf(want, 1) && want > 0 {
 					cutoff = want * (0.8 + 0.4*rng.Float64())
 				}
-				pending := 0
-				for _, pd := range pend {
-					pending += len(pd)
-				}
-				got := k.makespanInc(st, m, patch, pre, cutoff, rng.Intn(2) == 0, base, pend)
+				got := k.makespanInc(st, m, patch, pre, cutoff, rng.Intn(2) == 0)
 				switch {
 				case got <= cutoff || math.IsInf(cutoff, 1):
 					if got != want {
-						t.Fatalf("platform %d trial %d step %d: eval %.17g want %.17g cutoff %.17g\nn=%d base=%v patch=%v pend=%v",
-							pi, trial, step, got, want, cutoff, n, base, patch, pend)
+						t.Fatalf("platform %d trial %d step %d: eval %.17g want %.17g cutoff %.17g\nn=%d base=%v patch=%v",
+							pi, trial, step, got, want, cutoff, n, base, patch)
 					}
 				case got > want:
 					t.Fatalf("platform %d trial %d step %d: abort %.17g exceeds true %.17g\nn=%d base=%v patch=%v",
@@ -203,90 +196,35 @@ func TestSessionReplayExact(t *testing.T) {
 					t.Fatalf("platform %d trial %d step %d: false reject %.17g of true %.17g <= cutoff %.17g\nn=%d base=%v patch=%v",
 						pi, trial, step, got, want, cutoff, n, base, patch)
 				}
-				for _, pd := range pend {
-					pending -= len(pd)
-				}
-				if pending > 0 {
-					folds++
-					checkFreshRecording(t, k, st2, base, pre, fresh, pend)
-				}
 				if rng.Intn(2) == 0 {
-					// Commit the move the way Incremental.Apply does: fold
-					// overflowing orders against the pre-patch base, then
-					// update the base and append the patch as pending.
-					folded := false
-					for o := range pend {
-						if pd := pend[o]; len(pd)+len(patch) > foldCap {
-							k.applyOrder(st, base, o, pd, pre)
-							pend[o] = pd[:0]
-							folded = true
-						}
-					}
-					if folded {
-						folds++
-						checkFreshRecording(t, k, st2, base, pre, fresh, pend)
-					}
-					for _, v := range patch {
-						base[v] = dev
-					}
-					for o := range pend {
-						pd := pend[o]
-						for _, pv := range patch {
-							if !inPatch(pd, int(pv)) {
-								pd = append(pd, pv)
-							}
-						}
-						pend[o] = pd
+					k.commit(st, base, patch, dev, pre)
+					commits++
+					checkFreshRecording(t, k, st2, base, pre, fresh)
+					if rng.Intn(4) == 0 {
+						copyPrefix(before, pre)
+						k.commit(st, base, patch, dev, pre)
+						noops++
+						comparePrefix(t, "no-op commit", k, pre, before)
 					}
 				}
 			}
 		}
 	}
-	if folds == 0 {
-		t.Fatal("no fold happened; the recording check never ran")
+	if commits == 0 || noops == 0 {
+		t.Fatalf("%d commits, %d no-op commits: the recording checks never ran", commits, noops)
 	}
+	t.Logf("%d commits, %d no-op commits checked", commits, noops)
 }
 
-// checkFreshRecording asserts that every order of pre with no pending
-// moves is bit-identical to a fresh buildPrefix of base, row by row, and
-// that every device's slot segment of every checkpoint is ascending.
-func checkFreshRecording(t *testing.T, k *kernel, st *simState, base []int, pre, fresh *batchPrefix, pend [][]graph.NodeID) {
+// checkFreshRecording asserts that pre is bit-identical to a fresh
+// buildPrefix of base, row by row, and that every device's slot segment
+// of every checkpoint is ascending.
+func checkFreshRecording(t *testing.T, k *kernel, st *simState, base []int, pre, fresh *batchPrefix) {
 	t.Helper()
 	k.buildPrefix(st, base, fresh)
+	comparePrefix(t, "folded", k, pre, fresh)
 	n, ns, nd := k.n, k.numSlots, k.nd
-	same := func(a, b []float64) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for o := range pend {
-		if len(pend[o]) > 0 {
-			continue
-		}
-		rows := []struct {
-			name      string
-			got, want []float64
-		}{
-			{"freeCkpt", pre.freeCkpt[o*n*ns : (o+1)*n*ns], fresh.freeCkpt[o*n*ns : (o+1)*n*ns]},
-			{"msCkpt", pre.msCkpt[o*n : (o+1)*n], fresh.msCkpt[o*n : (o+1)*n]},
-			{"start", pre.start[o*n : (o+1)*n], fresh.start[o*n : (o+1)*n]},
-			{"finish", pre.finish[o*n : (o+1)*n], fresh.finish[o*n : (o+1)*n]},
-			{"sufMax", pre.sufMax[o*(n+1) : (o+1)*(n+1)], fresh.sufMax[o*(n+1) : (o+1)*(n+1)]},
-			{"sufLoad", pre.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd], fresh.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]},
-		}
-		for _, r := range rows {
-			if !same(r.got, r.want) {
-				t.Fatalf("order %d: folded %s %v != fresh %v", o, r.name, r.got, r.want)
-			}
-		}
-		for v := 0; v < n; v++ {
-			if pre.baseMO[o*n+v] != fresh.baseMO[o*n+v] {
-				t.Fatalf("order %d: folded baseMO %v != fresh %v", o, pre.baseMO[o*n:(o+1)*n], fresh.baseMO[o*n:(o+1)*n])
-			}
-		}
+	for o := 0; o < k.numOrders; o++ {
 		for i := 0; i < n; i++ {
 			row := pre.freeCkpt[(o*n+i)*ns : (o*n+i+1)*ns]
 			for d := 0; d < nd; d++ {
@@ -299,4 +237,54 @@ func checkFreshRecording(t *testing.T, k *kernel, st *simState, base []int, pre,
 			}
 		}
 	}
+}
+
+// comparePrefix asserts that got and want are bit-identical recordings:
+// the base row, and every order's checkpoints, task times, suffix
+// maxima and suffix loads.
+func comparePrefix(t *testing.T, what string, k *kernel, got, want *batchPrefix) {
+	t.Helper()
+	for v := range got.baseM {
+		if got.baseM[v] != want.baseM[v] {
+			t.Fatalf("%s base row %v != %v", what, got.baseM, want.baseM)
+		}
+	}
+	n, ns, nd := k.n, k.numSlots, k.nd
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for o := 0; o < k.numOrders; o++ {
+		rows := []struct {
+			name      string
+			got, want []float64
+		}{
+			{"freeCkpt", got.freeCkpt[o*n*ns : (o+1)*n*ns], want.freeCkpt[o*n*ns : (o+1)*n*ns]},
+			{"msCkpt", got.msCkpt[o*n : (o+1)*n], want.msCkpt[o*n : (o+1)*n]},
+			{"start", got.start[o*n : (o+1)*n], want.start[o*n : (o+1)*n]},
+			{"finish", got.finish[o*n : (o+1)*n], want.finish[o*n : (o+1)*n]},
+			{"sufMax", got.sufMax[o*(n+1) : (o+1)*(n+1)], want.sufMax[o*(n+1) : (o+1)*(n+1)]},
+			{"sufLoad", got.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd], want.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]},
+		}
+		for _, r := range rows {
+			if !same(r.got, r.want) {
+				t.Fatalf("order %d: %s %s %v != %v", o, what, r.name, r.got, r.want)
+			}
+		}
+	}
+}
+
+// copyPrefix copies every array of src into dst (same kernel).
+func copyPrefix(dst, src *batchPrefix) {
+	copy(dst.start, src.start)
+	copy(dst.finish, src.finish)
+	copy(dst.freeCkpt, src.freeCkpt)
+	copy(dst.msCkpt, src.msCkpt)
+	copy(dst.sufMax, src.sufMax)
+	copy(dst.baseM, src.baseM)
+	copy(dst.sufLoad, src.sufLoad)
 }

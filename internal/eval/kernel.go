@@ -339,17 +339,14 @@ type simState struct {
 
 	// patchMark/patchEpoch mark the tasks of the patch makespanInc is
 	// evaluating: patchMark[v] == patchEpoch iff v is patched, the O(1)
-	// membership test of composed, preLB, readerShift and the replay's
-	// per-placement bookkeeping. While preLB runs they also mark the
-	// order's composed-patch extension, which is unmarked to 0 (never a
-	// live epoch) before the replay.
+	// membership test of preLB, readerShift and the replay's
+	// per-placement bookkeeping.
 	patchMark  []uint64
 	patchEpoch uint64
 
-	// cpbuf is the composed-patch scratch of the incremental session's
-	// lazy apply: the caller's patch extended with an order's pending
-	// not-yet-folded moves (see kernel.composed in incremental.go).
-	cpbuf []graph.NodeID
+	// moved is kernel.commit's scratch: the tasks of a committed patch
+	// whose device actually changes.
+	moved []graph.NodeID
 
 	// res is the candidate's downstream residual (see kernel.residual).
 	// It must describe the mapping whenever simOrder, simOrderInc or preLB
@@ -369,7 +366,7 @@ func (k *kernel) newState() *simState {
 		load:      make([]float64, k.nd),
 		freeSum:   make([]float64, k.nd),
 		patchMark: make([]uint64, k.n),
-		cpbuf:     make([]graph.NodeID, 0, k.n),
+		moved:     make([]graph.NodeID, 0, k.n),
 		res:       make([]float64, k.n),
 	}
 }
@@ -403,17 +400,12 @@ type batchPrefix struct {
 	// Incremental.Apply's windowed rebase.
 	sufMax []float64
 
-	// baseMO[o*n+v] is the device the order-o recording placed task v on —
-	// the reference the incremental bounds diff patches against. The rows
-	// start identical (buildPrefix) but diverge under the incremental
-	// session's lazy apply, which folds accepted moves into each order's
-	// recording only when that order is actually evaluated again (see
-	// Incremental.Apply and kernel.applyOrder in incremental.go).
-	baseMO []int32
+	// baseM[v] is the device the recording placed task v on, in every
+	// order — the reference the incremental bounds diff patches against.
+	baseM []int32
 	// sufLoad[(o*(n+1)+i)*nd+d] is the total execution time, on device d,
-	// of the order-o tasks at positions >= i under baseMO's order-o row
-	// (row n is all zeros). It feeds the capacity lower bound (see
-	// incremental.go):
+	// of the order-o tasks at positions >= i under baseM (row n is all
+	// zeros). It feeds the capacity lower bound (see incremental.go):
 	// at a resume position the remaining per-device load divided by the
 	// device's slot count bounds the order makespan from below, killing
 	// over-cutoff candidates without replaying them. Unlike the schedule
@@ -431,7 +423,7 @@ func (k *kernel) newPrefix() *batchPrefix {
 		freeCkpt: make([]float64, on*k.numSlots),
 		msCkpt:   make([]float64, on),
 		sufMax:   make([]float64, k.numOrders*(k.n+1)),
-		baseMO:   make([]int32, on),
+		baseM:    make([]int32, k.n),
 		sufLoad:  make([]float64, k.numOrders*(k.n+1)*k.nd),
 	}
 }
@@ -549,30 +541,14 @@ func (k *kernel) residual(st *simState, m []int) float64 {
 // point operation of a placement matches model.Evaluator.MakespanOrder
 // in value and sequence, so completed simulations are bit-identical to
 // the reference.
-//
-// When rec is non-nil the simulation additionally records order o into
-// it — per-task start/finish plus per-position slot/makespan checkpoints
-// — for later resumption (see buildPrefix); recording requires an
-// infinite bound, so the residual abort never fires and st.res may be
-// stale. Record mode routes the task times into rec's arrays so the one
-// placement loop serves both modes and cannot drift.
-func (k *kernel) simOrder(st *simState, m []int, o int, bound float64, rec *batchPrefix) (float64, bool) {
+func (k *kernel) simOrder(st *simState, m []int, o int, bound float64) (float64, bool) {
 	n, res := k.n, st.res
 	var makespan float64
 	for i := range st.free {
 		st.free[i] = 0
 	}
 	start, finish, free := st.start, st.finish, st.free
-	if rec != nil {
-		// Record mode: task times land in the recording's per-order rows.
-		start = rec.start[o*n : (o+1)*n]
-		finish = rec.finish[o*n : (o+1)*n]
-	}
-	for pi, v32 := range k.orders[o*n : (o+1)*n] {
-		if rec != nil {
-			copy(rec.freeCkpt[(o*n+pi)*k.numSlots:(o*n+pi+1)*k.numSlots], free)
-			rec.msCkpt[o*n+pi] = makespan
-		}
+	for _, v32 := range k.orders[o*n : (o+1)*n] {
 		v := int(v32)
 		d := m[v]
 		ready := 0.0
@@ -642,44 +618,46 @@ func (k *kernel) simOrder(st *simState, m []int, o int, bound float64, rec *batc
 	return makespan, true
 }
 
-// buildPrefix records the full (no early exit) simulation of base into
-// pre: per-order start/finish times plus per-position slot and makespan
-// checkpoints, via simOrder's record mode, whose placement arithmetic
-// simOrderInc repeats operation for operation when it resumes from the
-// recording, so resumed suffixes continue bit-identically. Infeasibility
-// of the base is irrelevant here — the prefix only supplies the shared
-// schedule state.
+// buildPrefix records the full simulation of base into pre: the base
+// row, every order's suffix loads, and every order's schedule, which
+// rebaseOrder writes by replaying the whole order from an empty
+// schedule (a zeroed row-0 checkpoint) — the one loop that also folds
+// accepted moves in, and whose placement arithmetic simOrderInc repeats
+// operation for operation when it resumes from the recording, so
+// resumed suffixes continue bit-identically. Infeasibility of the base
+// is irrelevant here — the prefix only supplies the shared schedule
+// state.
 func (k *kernel) buildPrefix(st *simState, base []int, pre *batchPrefix) {
-	n, nd := k.n, k.nd
+	n, nd, ns := k.n, k.nd, k.numSlots
+	for v, d := range base {
+		pre.baseM[v] = int32(d)
+	}
 	for o := 0; o < k.numOrders; o++ {
-		row := pre.baseMO[o*n : (o+1)*n]
-		for v, d := range base {
-			row[v] = int32(d)
+		clear(pre.sufLoad[(o*(n+1)+n)*nd : (o+1)*(n+1)*nd])
+		k.sufLoads(base, o, n-1, pre)
+		pre.sufMax[o*(n+1)+n] = math.Inf(-1)
+		if n == 0 {
+			continue // nothing to replay
 		}
-		k.simOrder(st, base, o, math.Inf(1), pre)
-		suf := pre.sufMax[o*(n+1) : (o+1)*(n+1)]
-		suf[n] = math.Inf(-1)
-		finish := pre.finish[o*n : (o+1)*n]
-		order := k.orders[o*n : (o+1)*n]
-		for j := n - 1; j >= 0; j-- {
-			suf[j] = suf[j+1]
-			if f := finish[order[j]]; f > suf[j] {
-				suf[j] = f
-			}
-		}
-		// Suffix loads, by the same reverse recurrence Incremental.Apply
-		// re-derives dirty rows with (each row = the row above plus one
-		// task), so a rebuilt row is bit-identical to a fresh build.
-		sl := pre.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]
-		for d := 0; d < nd; d++ {
-			sl[n*nd+d] = 0
-		}
-		for j := n - 1; j >= 0; j-- {
-			copy(sl[j*nd:(j+1)*nd], sl[(j+1)*nd:(j+2)*nd])
-			v := int(order[j])
-			d := base[v]
-			sl[j*nd+d] += k.exec[d*n+v]
-		}
+		clear(pre.freeCkpt[o*n*ns : (o*n+1)*ns])
+		pre.msCkpt[o*n] = 0
+		k.rebaseOrder(st, base, o, 0, n, pre)
+	}
+}
+
+// sufLoads derives order o's sufLoad rows top..0 from row top+1 under
+// base: each row is the row below plus one task. buildPrefix and
+// applyOrder share this recurrence, so a re-derived row is
+// bit-identical to a fresh build and immune to incremental float drift.
+func (k *kernel) sufLoads(base []int, o, top int, pre *batchPrefix) {
+	n, nd := k.n, k.nd
+	sl := pre.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]
+	order := k.orders[o*n : (o+1)*n]
+	for j := top; j >= 0; j-- {
+		copy(sl[j*nd:(j+1)*nd], sl[(j+1)*nd:(j+2)*nd])
+		v := int(order[j])
+		d := base[v]
+		sl[j*nd+d] += k.exec[d*n+v]
 	}
 }
 
@@ -705,7 +683,7 @@ func (k *kernel) makespan(st *simState, m []int, cutoff float64) float64 {
 		if best < bound {
 			bound = best
 		}
-		ms, complete := k.simOrder(st, m, o, bound, nil)
+		ms, complete := k.simOrder(st, m, o, bound)
 		if complete {
 			if ms < best {
 				best = ms

@@ -77,10 +77,6 @@ type Options struct {
 	Gamma float64
 	// SP configures the decomposition forest for SeriesParallel.
 	SP sp.Options
-	// MaxIterations caps the number of applied mapping changes, guarding
-	// against degenerate situations as the paper suggests (§III-A). Zero
-	// selects the default of 4n, which is never reached in practice.
-	MaxIterations int
 	// Objective overrides the minimized cost function (default: the
 	// evaluator's schedule-set makespan). It must be deterministic and
 	// return model.Infeasible for infeasible mappings. A weighted
@@ -165,13 +161,10 @@ func MapWithEvaluator(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats,
 	best := cost(m)
 	stats.Evaluations++
 
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 4 * g.NumTasks()
-		if maxIter < 16 {
-			maxIter = 16
-		}
-	}
+	// Cap the number of applied mapping changes, guarding against
+	// degenerate situations as the paper suggests (§III-A): 4n, at least
+	// 16, which is never reached in practice.
+	maxIter := max(16, 4*g.NumTasks())
 
 	// inc is the incremental evaluation session around the incumbent
 	// mapping, opened by the GammaThreshold/FirstFit branch when the

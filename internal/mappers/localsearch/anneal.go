@@ -25,51 +25,46 @@ const (
 	edgeMoveProb = 0.25
 )
 
+// Annealing schedule: proposals are evaluated in blocks of annealBatch
+// (a larger block discards more stale proposals after an accepted
+// move), and the temperature cools from initialTemp to finalTemp, both
+// fractions of the starting objective value.
+const (
+	annealBatch = 8
+	initialTemp = 0.02
+	finalTemp   = 1e-4
+)
+
 // anneal runs batched simulated annealing over single-task moves, edge
 // co-moves and series-parallel subgraph co-moves.
 //
-// Proposals are drawn in blocks of BatchSize on the calling goroutine
-// (fixing the RNG stream), evaluated as one engine batch — all sharing
-// the incumbent as base, so the engine records its simulation prefix
-// once and every candidate resumes at its single patched position —
-// and then scanned in index order under Metropolis acceptance. An
+// Proposals are drawn in blocks of annealBatch on the calling goroutine
+// (fixing the RNG stream), evaluated against one cutoff — through the
+// incremental session in single-objective mode, where every candidate
+// resumes at its first patched position against the incumbent's
+// recording, and as one engine batch in weighted mode — and then
+// scanned in index order under Metropolis acceptance. An
 // accepted move invalidates the rest of the block (the incumbent
 // changed), so those results are discarded; the temperature follows a
 // geometric schedule paced by the fraction of the evaluation budget
 // spent.
 func (s *searcher) anneal() {
-	batch := s.opt.BatchSize
-	if batch <= 0 {
-		batch = 8
-	}
-	t0 := s.opt.InitialTemp
-	if t0 <= 0 {
-		t0 = 0.02
-	}
-	tEnd := s.opt.FinalTemp
-	if tEnd <= 0 {
-		tEnd = 1e-4
-	}
-	if tEnd > t0 {
-		tEnd = t0
-	}
 	// Temperatures scale with the starting objective value (the makespan,
 	// or the normalized cost in weighted mode) so the schedule is
 	// problem-size independent.
-	t0 *= s.startVal
-	tEnd *= s.startVal
+	t0 := initialTemp * s.startVal
+	tEnd := finalTemp * s.startVal
 	logRatio := math.Log(tEnd / t0)
 
-	ops := make([]eval.Op, batch)
-	patches := make([]graph.NodeID, batch)
+	ops := make([]eval.Op, annealBatch)
+	patches := make([]graph.NodeID, annealBatch)
 	for {
 		remaining := s.opt.Budget - s.stats.Evaluations
 		if remaining <= 0 {
 			return
 		}
-		// Shrink the final block to the remaining budget without losing
-		// the configured size (a Sync budget grant may extend the run).
-		batch := batch
+		// Shrink the final block to the remaining budget.
+		batch := annealBatch
 		if remaining < batch {
 			batch = remaining
 		}

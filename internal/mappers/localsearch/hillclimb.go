@@ -10,25 +10,20 @@ import (
 // kicks.
 //
 // Each step evaluates the complete large neighborhood of the incumbent
-// as one engine batch with the incumbent as cutoff: every single-task
-// move (task x other device) plus every edge co-move (both endpoints of
-// an edge onto one device — the move that escapes the streaming
-// plateaus single moves cannot cross). The shared base's simulation
-// prefix is recorded once, every candidate resumes at its first patched
-// position, and non-improving candidates abort after a few placed
-// tasks. The best improving move (lowest makespan, lowest index on
-// ties) is applied. At a local optimum the climber remaps KickTasks
-// random tasks of the best-seen mapping (iterated local search restarts
-// from the elite), repairs feasibility, and climbs again; the best
-// mapping across all climbs is returned.
+// with the incumbent as cutoff: every single-task move (task x other
+// device), every edge co-move (both endpoints of an edge onto one
+// device — the move that escapes the streaming plateaus single moves
+// cannot cross) and every subgraph co-move. Every candidate resumes at
+// its first patched position against the incumbent's recording (the
+// incremental session, or the batch's shared prefix in weighted mode),
+// and non-improving candidates abort after a few placed tasks. The best
+// improving move (lowest makespan, lowest index on ties) is applied. At
+// a local optimum the climber remaps max(2, n/16) random tasks of the
+// best-seen mapping (iterated local search restarts from the elite),
+// repairs feasibility, and climbs again; the best mapping across all
+// climbs is returned.
 func (s *searcher) hillClimb() {
-	kick := s.opt.KickTasks
-	if kick <= 0 {
-		kick = s.n / 16
-		if kick < 2 {
-			kick = 2
-		}
-	}
+	kick := max(2, s.n/16)
 
 	// The candidate set is rebuilt each step (the incumbent's devices
 	// change), but the op and patch storage is reused.

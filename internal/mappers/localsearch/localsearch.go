@@ -84,19 +84,6 @@ type Options struct {
 	// repaired; nil starts from the pure-CPU baseline.
 	Init mapping.Mapping
 
-	// BatchSize is the number of annealing proposals evaluated per
-	// engine batch (default 8). Larger batches parallelize better but
-	// discard more stale proposals after an accepted move.
-	BatchSize int
-	// InitialTemp and FinalTemp set the annealing temperature range as
-	// fractions of the starting makespan (defaults 0.02 and 1e-4).
-	InitialTemp float64
-	FinalTemp   float64
-
-	// KickTasks is the number of tasks randomly remapped when the hill
-	// climber escapes a local optimum (default max(2, n/16)).
-	KickTasks int
-
 	// WTime and WEnergy select the multi-objective weighted mode: when
 	// WEnergy > 0 the search minimizes the normalized scalarization
 	//
@@ -304,11 +291,8 @@ func search(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats, error) {
 	// The multi-node series-parallel subgraph sets (singletons are the
 	// single-move neighborhood already). Decomposition is deterministic
 	// under the search seed; on the rare failure the co-move pool just
-	// stays smaller. The forest doubles as the incremental evaluator's
-	// composition-boundary gate below.
-	var forest *sp.Forest
-	if sets, f, err := sp.SeriesParallelSubgraphs(g, sp.Options{Seed: opt.Seed}); err == nil {
-		forest = f
+	// stays smaller.
+	if sets, _, err := sp.SeriesParallelSubgraphs(g, sp.Options{Seed: opt.Seed}); err == nil {
 		for _, sub := range sets {
 			if len(sub) >= 2 {
 				s.subs = append(s.subs, sub)
@@ -325,18 +309,13 @@ func search(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats, error) {
 	if s.n > 0 && s.nd > 1 && s.curVal > 0 {
 		if !s.mo {
 			// Single-objective searches evaluate through an incremental
-			// session: moves within one series-parallel decomposition tree
-			// (single tasks, edge co-moves and the §III-C subgraph sets all
-			// are — the forest partitions the edges) take the fast-forward
-			// path; a hypothetical boundary-crossing patch would fall back
-			// to the plain prefix-resume replay. Weighted mode keeps the
-			// engine's multi-objective batch path (which the engine
-			// fast-forwards transparently on its own).
-			var gate func([]graph.NodeID) bool
-			if forest != nil {
-				gate = sp.NewIndex(forest, s.n).Within
-			}
-			s.inc = s.eng.Incremental(s.cur, gate)
+			// session with no gate: every move fast-forwards. Each one
+			// lies inside one series-parallel decomposition tree anyway
+			// (single tasks, edge co-moves and the §III-C subgraph sets
+			// all do — the forest partitions the edges). Weighted mode
+			// keeps the engine's multi-objective batch path (which the
+			// engine fast-forwards transparently on its own).
+			s.inc = s.eng.Incremental(s.cur, nil)
 		}
 		switch opt.Algorithm {
 		case HillClimb:

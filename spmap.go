@@ -97,8 +97,9 @@
 // through Engine.Incremental (package eval): a long-lived session that
 // records the incumbent's simulation once and then serves each
 // candidate move in O(changed window) — capacity lower bounds, resumed
-// replays with fast-forward reconvergence, and lazy in-place repair on
-// accepted moves — with results bit-identical to Engine.Makespan on the
+// replays with fast-forward reconvergence, and an in-place repair of
+// the recording on each accepted move — with results bit-identical to
+// Engine.Makespan on the
 // materialized mapping and zero steady-state allocations. Batches and
 // sessions are the engine's only two ways of scoring a candidate. The
 // session is an engine-internal fast path: it changes no spmap-level
