@@ -546,10 +546,11 @@ func benchmarkReplay(b *testing.B, n int, cold bool) {
 //
 // One steady-state session move under the paper's 101-schedule
 // protocol. Evaluate<n> is the pure candidate-rejection path (cutoff =
-// incumbent, nothing applied): the global capacity bound plus bounded
-// resumed replays. Move<n> interleaves one Apply every 8 candidates, so
-// its folds (the windowed recording rebase) are amortized into the
-// per-move cost the way a real search pays them. Run with
+// incumbent, nothing applied): the critical-path pre-check, preLB and
+// bounded resumed replays. Move<n> interleaves one Apply every 8
+// candidates, so its folds (the recording rebase from the first moved
+// position) are amortized into the per-move cost the way a real search
+// pays them. Run with
 // -benchmem: the scratch-reuse audit pins 0 allocs/op for both.
 
 func benchmarkIncrementalSession(b *testing.B, n, acceptEvery int) {

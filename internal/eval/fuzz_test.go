@@ -140,8 +140,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		// interleaves Evaluate (exact and under a cutoff), Apply, Rebase
 		// and Makespan; every result must stay bit-identical to the
 		// reference simulation of the materialized mapping. The parity
-		// gate forces the plain prefix-resume fallback for odd-sized
-		// multi-task patches, so both session paths are driven.
+		// gate disables the dominance abort for odd-sized multi-task
+		// patches, so replays with and without it are both driven.
 		n := g.NumTasks()
 		rng := rand.New(rand.NewSource(seed<<8 | int64(len(data)%251)))
 		gate := func(p []graph.NodeID) bool { return len(p)%2 == 0 }

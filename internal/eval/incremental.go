@@ -7,69 +7,34 @@ import (
 	"spmap/internal/mapping"
 )
 
-// This file implements the incremental evaluation path: resumed order
-// simulations that stop replaying as soon as the schedule state provably
-// reconverges with a memoized base recording, a capacity lower bound
-// that rejects over-cutoff candidates without replaying them at all, and
-// a long-lived session (Incremental) that keeps one such recording alive
-// across a whole local search. Accepted moves do not re-record: Apply
-// folds each one into every order's recording at once (applyOrder — a
-// windowed in-place rebase), so the recording always describes the
-// session base exactly.
+// This file implements the incremental evaluation path: order
+// simulations resumed from a recording of the base mapping at a
+// candidate's first patched position, bounds that reject over-cutoff
+// candidates before or during that replay, and a long-lived session
+// (Incremental) that keeps one such recording alive across a whole local
+// search. Accepted moves do not re-record: Apply folds each one into
+// every order's recording at once (commit — an in-place rebase of each
+// order from its first moved position), so the recording always
+// describes the session base exactly.
 //
-// Why state reconvergence instead of literal SP-subtree recomposition: a
-// list schedule couples unrelated SP subtrees through device-slot
-// contention, so composing per-subtree partial schedules cannot be
-// bit-identical to the reference simulation in general. The recorded
-// per-position schedule state sidesteps this: a resumed simulation that
-// (a) has placed every task that can still observe the mutation through
-// a data edge and (b) reaches a position where every device holds the
-// same multiset of slot next-free times as the recording's checkpoint
-// will, by induction over the identical placement arithmetic, reproduce
-// the recorded suffix exactly (placement reads a device's slots only
-// through that multiset; see placeSlot).
-// Its final makespan is then max(running makespan, memoized suffix
-// contribution) — no replay needed. The SP decomposition forest decides
-// WHICH moves take this path (see sp.Index and the localsearch wiring):
-// single-task moves and co-moves inside one decomposition tree use it,
-// boundary-crossing patches fall back to plain prefix resume.
-//
-// Why the capacity bound: under slot contention the running makespan of
-// a rejected candidate crosses the cutoff only near the end of the
-// order, so the bounded early exit saves little. The remaining per-
-// device execution load is known up front (batchPrefix.sufLoad plus the
-// patch delta), and a device's S slots can absorb at most
-// S*ms - sum(free) of it by time ms, so
-//
-//	ms >= (sum_s free[s] + load[d]) / S_d
-//
-// for every non-spatial device d. The bound anticipates the whole
-// suffix's load instead of discovering it one placement at a time,
-// firing at (or right after) the resume point for typical rejects. Every
-// returned bound is deflated by loadSlack so float rounding can never
-// push it above the true makespan — the engine's cutoff contract (a
-// result > cutoff both certifies and lower-bounds) survives intact.
+// A resumed replay restores the slot state and running makespan
+// recorded at its resume position and replays the rest of the order with
+// simOrder's placement arithmetic, so a completed replay is bit-identical
+// to a full one. What it saves over a full replay is the prefix, and for
+// the candidates a search rejects, whatever its bounds cut off: the
+// candidate's critical path and preLB before the replay, then the path
+// bound, the dominance abort and the running makespan during it (see
+// makespanInc and simOrderInc). Every returned bound is
+// deflated by loadSlack so float rounding can never push it above the
+// true makespan — the engine's cutoff contract (a result > cutoff both
+// certifies and lower-bounds) survives intact.
 
-// loadSlack deflates the capacity and path lower bounds against float
+// loadSlack deflates the path and dominance lower bounds against float
 // rounding: a bound's real-arithmetic value never exceeds the true
 // makespan, and its floating-point evaluation deviates by at most ~n*eps
-// (a sum or chain over at most n tasks) + one rounding per Apply-rebuilt
-// sufLoad row — orders of magnitude below 1e-9.
+// (a sum or chain over at most n tasks) — orders of magnitude below
+// 1e-9.
 const loadSlack = 1 - 1e-9
-
-// slotsEqual reports equality of two slot next-free vectors. Both keep
-// every device's segment ascending, so this is equality of each device's
-// multiset of next-free times. NaN entries (which cannot legitimately
-// occur) compare unequal and thereby disable the fast-forward on the
-// safe side.
-func slotsEqual(a, b []float64) bool {
-	for i, x := range a {
-		if x != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // slotGap returns how far slot state a lags behind slot state b: the
 // smallest E >= 0 such that, after pairing each device's interchangeable
@@ -92,29 +57,22 @@ func slotGap(a, b []float64) float64 {
 }
 
 // patchWindow returns, for order o, the first and last positions
-// holding a patched task (the resume point and the dominance-abort
-// floor) and the static dirty-path barrier: the last position that
-// reads any patched task's placement (its times, its device for
-// transfer costs, or its streaming pairing). Positions past the barrier
-// can only differ from the base recording through schedule state, which
-// the fast-forward check observes directly; positions past pmax can
-// still read a patched task, but the size of that read's backward shift
-// is bounded exactly by readerDelta.
-func (k *kernel) patchWindow(o int, patch []graph.NodeID) (i0, pmax, barrier int) {
+// holding a patched task: the resume point and the dominance-abort
+// floor. Positions past pmax can still read a patched task, but the size
+// of that read's backward shift is bounded exactly by readerDelta.
+func (k *kernel) patchWindow(o int, patch []graph.NodeID) (i0, pmax int) {
 	n := k.n
-	i0, pmax, barrier = n, -1, -1
+	i0, pmax = n, -1
 	for _, v := range patch {
-		if p := int(k.pos[o*n+int(v)]); p < i0 {
+		p := int(k.pos[o*n+int(v)])
+		if p < i0 {
 			i0 = p
 		}
-		if p := int(k.pos[o*n+int(v)]); p > pmax {
+		if p > pmax {
 			pmax = p
 		}
-		if b := int(k.maxOutPos[o*n+int(v)]); b > barrier {
-			barrier = b
-		}
 	}
-	return i0, pmax, barrier
+	return i0, pmax
 }
 
 // readerDelta bounds, for order o at replay position pi (past every
@@ -197,105 +155,56 @@ func (k *kernel) readerShift(st *simState, m []int, o, v, od, dv int, recS, recF
 }
 
 // simOrderInc is simOrder's incremental sibling: it resumes order o of
-// mapping m at position r from the recording pre and stops replaying
-// early through two mechanisms.
+// mapping m at position r from the recording pre, restoring the slot
+// state and running makespan recorded there, and replays the rest of the
+// order. Under a finite bound it aborts like simOrder (running makespan,
+// and each placed task's finish plus its downstream residual st.res) and
+// through one more bound:
 //
-// Fast-forward: once past the dirty-path barrier, a position whose
-// per-device multisets of slot next-free times equal the recording's
-// checkpoint (both kept as ascending segments, so one elementwise
-// comparison decides it) proves every remaining placement reproduces
-// the recording exactly, so the order's final makespan is
-// max(running makespan, pre.sufMax at that position).
-// The barrier starts at the caller's static bound (patchWindow; n
-// disables fast-forward entirely) and is raised dynamically whenever a
-// replayed task's times diverge from the recording, covering knock-on
-// effects on unpatched tasks.
-//
-// Capacity bound (evaluation mode with a finite bound): the remaining
-// per-device load — pre.sufLoad at the resume row, shifted by the
-// patch's device deltas against pre.baseM — yields the lower bound
-// (freeSum[d] + load[d]) / slots[d] per non-spatial device, checked once
-// at the resume point and in O(1) per placement thereafter (only the
-// placed device's terms change). When the deflated bound exceeds the
-// caller's bound the order aborts, returning the bound itself: it is
-// > bound and <= the true order makespan, exactly like a running-
-// makespan abort.
-//
-// Dominance abort (evaluation mode with a finite bound): once every
-// patched task is placed (pi > pmax) each remaining task keeps the base
-// mapping, so its placement arithmetic is structurally identical to the
-// recording's and is built solely from operations that are monotone and
-// 1-Lipschitz in their variable inputs — max and +constant (the
-// streaming divides touch constants only), plus the per-device
-// earliest-slot choice, whose sorted slot vector is a family of order
-// statistics (monotone, 1-Lipschitz in the sup norm). If every variable
-// input the suffix can observe sits at most E below its recorded value,
-// then by induction every remaining finish time is >= its recorded
-// value - E, hence the order's makespan is >= pre.sufMax here - E. E is
-// the max of three exactly-tracked quantities: the worst backward time
-// divergence of any replayed unpatched task (pert), the worst backward
-// shift of a dependence term a still-unplaced reader of a patched task
-// can see from the patch itself (readerDelta — the only way the
-// mutation reaches past pmax structurally), and the slot-state lag at
-// the current position (slotGap). When sufMax - E, deflated once
+// Dominance abort: once every patched task is placed (pi > pmax) each
+// remaining task keeps the base mapping, so its placement arithmetic is
+// structurally identical to the recording's and is built solely from
+// operations that are monotone and 1-Lipschitz in their variable inputs
+// — max and +constant (the streaming divides touch constants only), plus
+// the per-device earliest-slot choice, whose sorted slot vector is a
+// family of order statistics (monotone, 1-Lipschitz in the sup norm). If
+// every variable input the suffix can observe sits at most E below its
+// recorded value, then by induction every remaining finish time is >=
+// its recorded value - E, hence the order's makespan is >= pre.sufMax
+// here - E. E is the max of three exactly-tracked quantities: the worst
+// backward time divergence of any replayed unpatched task (pert), the
+// worst backward shift of a dependence term a still-unplaced reader of a
+// patched task can see from the patch itself (readerDelta — the only way
+// the mutation reaches past pmax structurally), and the slot-state lag
+// at the current position (slotGap). When sufMax - E, deflated once
 // against float rounding, still exceeds the caller's bound, the order
 // aborts with it: for rejected candidates this typically fires at the
 // first position past the last patched one, with E = 0 degenerating to
 // plain one-sided dominance. The check is monotone: sufMax never rises
 // along the order, pert never falls, delta is fixed and slotGap only
-// adds to E. So it is armed only if sufMax at pmax+1 clears the bound,
-// and disarmed for the rest of the replay as soon as sufMax -
-// max(pert, delta) fails to; slotGap runs only while it can still
-// decide an abort.
+// adds to E. So it is armed only if sufMax at pmax+1 clears the bound
+// (pmax = n disarms it), and disarmed for the rest of the replay as soon
+// as sufMax - max(pert, delta) fails to; slotGap runs only while it can
+// still decide an abort.
 //
 // Every placement executes the identical floating-point sequence as
-// simOrder, so completed results are bit-identical to a full replay; the
-// bound-abort contract is simOrder's, except that a fast-forwarded order
-// returns its exact makespan even when that exceeds the bound
-// (makespanInc's aggregation accounts for this).
-func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, patch []graph.NodeID, pre *batchPrefix, bound float64) (float64, bool) {
-	n, ns, nd := k.n, k.numSlots, k.nd
+// simOrder, so completed results are bit-identical to a full replay, and
+// the bound-abort contract is simOrder's: an aborted order returns a
+// value that exceeds bound and lower-bounds its makespan.
+func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax int, patch []graph.NodeID, pre *batchPrefix, bound float64) (float64, bool) {
+	n, ns := k.n, k.numSlots
 	copy(st.free, pre.freeCkpt[(o*n+r)*ns:(o*n+r+1)*ns])
 	makespan := pre.msCkpt[o*n+r]
 	if makespan > bound {
 		return makespan, false
 	}
 	lbOn := !math.IsInf(bound, 1)
-	if lbOn {
-		load, freeSum := st.load, st.freeSum
-		copy(load, pre.sufLoad[(o*(n+1)+r)*nd:(o*(n+1)+r+1)*nd])
-		for _, pv := range patch {
-			v := int(pv)
-			od, dv := int(pre.baseM[v]), m[v]
-			load[od] -= k.exec[od*n+v]
-			load[dv] += k.exec[dv*n+v]
-		}
-		lb := 0.0
-		for d := 0; d < nd; d++ {
-			inv := k.invSlots[d]
-			if inv == 0 {
-				continue // spatial device: no slot capacity to bound
-			}
-			sum := 0.0
-			for _, f := range st.free[k.slotStart[d]:k.slotStart[d+1]] {
-				sum += f
-			}
-			freeSum[d] = sum
-			if x := (sum + load[d]) * inv * loadSlack; x > lb {
-				lb = x
-			}
-		}
-		if lb > bound {
-			return lb, false
-		}
-	}
 	preStart := pre.start[o*n : (o+1)*n]
 	preFinish := pre.finish[o*n : (o+1)*n]
 	st.epoch++
 	epoch, stamp := st.epoch, st.stamp
 	start, finish, free := st.start, st.finish, st.free
 	order := k.orders[o*n : (o+1)*n]
-	skip := n
 	// The dominance abort checks once every patched task is placed
 	// (pi > pmax), and only if it could fire there: its value never
 	// exceeds sufMax at pmax+1. pert accumulates the worst backward
@@ -306,11 +215,6 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 	pert := 0.0
 	delta, deltaOK := 0.0, false
 	for pi := r; pi < n; pi++ {
-		ck := pre.freeCkpt[(o*n+pi)*ns : (o*n+pi+1)*ns]
-		if pi > barrier && slotsEqual(free, ck) {
-			skip = pi
-			break
-		}
 		if dom && pi > pmax {
 			if !deltaOK {
 				delta = k.readerDelta(st, m, o, pi, patch, pre)
@@ -323,7 +227,7 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 			if (sm-e)*loadSlack <= bound {
 				dom = false // monotone: it cannot fire from here on
 			} else {
-				if g := slotGap(free, ck); g > e {
+				if g := slotGap(free, pre.freeCkpt[(o*n+pi)*ns:(o*n+pi+1)*ns]); g > e {
 					e = g
 				}
 				if lb := (sm - e) * loadSlack; lb > bound {
@@ -392,36 +296,20 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 				return x, false
 			}
 		}
-		// Dynamic barrier: a divergent replayed task must have all of its
-		// readers replayed too. Only an EARLIER time perturbs the
-		// dominance bound, and only for unpatched tasks — a patched
-		// task's effect on its readers is bounded by readerDelta and its
-		// slot footprint by slotGap.
-		if startT != preStart[v] || fin != preFinish[v] {
-			if dom && st.patchMark[v] != st.patchEpoch {
-				if x := preStart[v] - startT; x > pert {
-					pert = x
-				}
-				if x := preFinish[v] - fin; x > pert {
-					pert = x
-				}
+		// Only an EARLIER time perturbs the dominance bound, and only for
+		// unpatched tasks — a patched task's effect on its readers is
+		// bounded by readerDelta and its slot footprint by slotGap.
+		if dom && st.patchMark[v] != st.patchEpoch {
+			if x := preStart[v] - startT; x > pert {
+				pert = x
 			}
-			if mp := int(k.maxOutPos[o*n+v]); mp > barrier {
-				barrier = mp
+			if x := preFinish[v] - fin; x > pert {
+				pert = x
 			}
 		}
 		start[v], finish[v] = startT, fin
 		stamp[v] = epoch
 		if s0 < s1 {
-			if lbOn {
-				// O(1) capacity recheck: only the placed device's slot sum
-				// and remaining load moved (fin >= the slot's old free time).
-				st.freeSum[d] += fin - free[s0]
-				st.load[d] -= execD[v]
-				if x := (st.freeSum[d] + st.load[d]) * k.invSlots[d] * loadSlack; x > bound {
-					return x, false
-				}
-			}
 			placeSlot(free[s0:s1], fin)
 		}
 		if fin > makespan {
@@ -431,24 +319,16 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 			}
 		}
 	}
-	if skip < n {
-		if s := pre.sufMax[o*(n+1)+skip]; s > makespan {
-			makespan = s
-		}
-	}
 	return makespan, true
 }
 
-// rebaseOrder replays order o's dirty window [r, reconvergence) under
-// mapping m and writes it back into pre, turning the recording into a
-// faithful recording of m: per-position slot/makespan checkpoints and
-// per-task times are overwritten up to the reconvergence point — each
-// compared against before overwrite, since the fast-forward check and
-// the dynamic barrier consult the OLD recording — and the msCkpt suffix
-// and sufMax prefix are then repaired by two scalar passes. The result
-// is bit-identical to a fresh buildPrefix of m, which is this replay from
-// position 0 with barrier n (no fast-forward): one loop writes every
-// recording.
+// rebaseOrder replays order o from position r to the end under mapping
+// m and writes the replay back into pre, turning the recording into a
+// faithful recording of m: the per-position slot/makespan checkpoints
+// and per-task times are overwritten from r on, and the suffix maxima
+// are then rebuilt in one scalar pass. The result is bit-identical to a
+// fresh buildPrefix of m, which is this replay from position 0: one loop
+// writes every recording.
 //
 // This is simOrderInc's placement arithmetic with everything evaluation-
 // specific stripped: no bounds or dominance (the replay must be exact to
@@ -458,7 +338,7 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax, barrier int, pat
 // it sits in the untouched prefix or was just replayed. That removes a
 // branch and a second array read per edge from the hottest loop the
 // session runs (the fold tail is the bulk of all replayed positions).
-func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batchPrefix) {
+func (k *kernel) rebaseOrder(st *simState, m []int, o, r int, pre *batchPrefix) {
 	n, ns := k.n, k.numSlots
 	free := st.free
 	copy(free, pre.freeCkpt[(o*n+r)*ns:(o*n+r+1)*ns])
@@ -466,16 +346,8 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 	preStart := pre.start[o*n : (o+1)*n]
 	preFinish := pre.finish[o*n : (o+1)*n]
 	order := k.orders[o*n : (o+1)*n]
-	skip := n
 	for pi := r; pi < n; pi++ {
-		ck := pre.freeCkpt[(o*n+pi)*ns : (o*n+pi+1)*ns]
-		if pi > barrier && slotsEqual(free, ck) {
-			skip = pi
-			break
-		}
-		for i, x := range free {
-			ck[i] = x
-		}
+		copy(pre.freeCkpt[(o*n+pi)*ns:(o*n+pi+1)*ns], free)
 		pre.msCkpt[o*n+pi] = makespan
 		v := int(order[pi])
 		d := m[v]
@@ -521,13 +393,6 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 		if streamDrain > fin {
 			fin = streamDrain
 		}
-		// Dynamic barrier: a divergent replayed task must have all of
-		// its readers replayed too.
-		if startT != preStart[v] || fin != preFinish[v] {
-			if mp := int(k.maxOutPos[o*n+v]); mp > barrier {
-				barrier = mp
-			}
-		}
 		preStart[v], preFinish[v] = startT, fin
 		if s0 < s1 {
 			placeSlot(free[s0:s1], fin)
@@ -536,18 +401,10 @@ func (k *kernel) rebaseOrder(st *simState, m []int, o, r, barrier int, pre *batc
 			makespan = fin
 		}
 	}
-	// The window is rewritten; repair the untouched suffix's running-
-	// makespan checkpoints (suffix finishes are unchanged, but the
-	// running makespan flowing into them may not be) and rebuild the
-	// suffix-max contributions over the rewritten prefix.
-	for j := skip; j < n; j++ {
-		pre.msCkpt[o*n+j] = makespan
-		if f := preFinish[order[j]]; f > makespan {
-			makespan = f
-		}
-	}
+	// Every position from r on has a new finish, and every suffix maximum
+	// folds them in.
 	suf := pre.sufMax[o*(n+1) : (o+1)*(n+1)]
-	for j := skip - 1; j >= 0; j-- {
+	for j := n - 1; j >= 0; j-- {
 		suf[j] = suf[j+1]
 		if f := preFinish[order[j]]; f > suf[j] {
 			suf[j] = f
@@ -594,7 +451,7 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 	preF := pre.finish[o*n : (o+1)*n]
 	deep := len(patch) <= 32
 	zeroE := 0.0
-	rel := st.load     // scratch; simOrderInc rebuilds st.load before any use
+	rel := st.rel
 	var order [32]int8 // patch indices by ascending position in o
 	if deep {
 		for d := 0; d < nd; d++ {
@@ -670,7 +527,7 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 				zeroE += gap
 				eprefix += gap
 			}
-			if k.invSlots[od] != 0 {
+			if k.slotStart[od] < k.slotStart[od+1] {
 				// Slot release: v's departure reverts its old slot's next-
 				// free time from recF[v] to whatever it was before v was
 				// placed — the head of od's segment in the checkpoint at
@@ -707,25 +564,12 @@ func (k *kernel) preLB(st *simState, m []int, o int, patch []graph.NodeID, pre *
 	return plb
 }
 
-// applyOrder folds moved — the tasks whose device base changed since
-// order o was recorded, every other task still matching the recording —
-// into order o's recording: it re-derives the dirty sufLoad rows and
-// replays the dirty window patchWindow finds in rebase mode. The result
-// is bit-identical to a fresh buildPrefix of base on this order, because
-// the rebase replays from the first moved position to bit-exact
-// reconvergence.
-func (k *kernel) applyOrder(st *simState, base []int, o int, moved []graph.NodeID, pre *batchPrefix) {
-	i0, pmax, barrier := k.patchWindow(o, moved)
-	k.sufLoads(base, o, pmax, pre)
-	k.rebaseOrder(st, base, o, i0, barrier, pre)
-}
-
 // commit moves every task of patch to device in base and folds the move
 // into pre, which must record base: it keeps the tasks whose device
 // actually changes, writes them into base and pre's base row, and then
-// folds every order through applyOrder. pre is afterwards bit-identical
-// to a fresh buildPrefix of the new base; a commit that moves no task
-// leaves it untouched.
+// rebases every order from its first moved position (rebaseOrder). pre
+// is afterwards bit-identical to a fresh buildPrefix of the new base; a
+// commit that moves no task leaves it untouched.
 func (k *kernel) commit(st *simState, base []int, patch []graph.NodeID, device int, pre *batchPrefix) {
 	moved := st.moved[:0]
 	for _, v := range patch {
@@ -739,65 +583,33 @@ func (k *kernel) commit(st *simState, base []int, patch []graph.NodeID, device i
 		return
 	}
 	for o := 0; o < k.numOrders; o++ {
-		k.applyOrder(st, base, o, moved, pre)
+		i0, _ := k.patchWindow(o, moved)
+		k.rebaseOrder(st, base, o, i0, pre)
 	}
 }
 
 // makespanInc is makespan for a patched mapping m whose unpatched base
-// was recorded into pre: a global capacity pre-check and then, after one
-// residual sweep for m (kernel.residual), a critical-path pre-check, both
-// able to reject the candidate before any order is touched; then per
-// order a path-bound pre-check (preLB) followed by a resume at the first
-// patched position with fast-forwarding, the dominance abort and the
-// in-replay capacity and path bounds (see simOrderInc). ff = false
-// disables fast-forward and dominance — the plain prefix-resume path for
-// composition-boundary-crossing patches. Results are bit-identical to
-// makespan under the same contract: the returned value is the exact
-// schedule-set minimum whenever it is <= cutoff, and otherwise both
-// exceeds the cutoff and lower-bounds the true makespan. Orders are
-// visited smallest recorded makespan first (then in index order), which
-// tightens every later order's bound; only the value of an over-cutoff
-// certificate depends on the visiting order.
-//
-// The aggregation differs slightly from makespan's because a fast-
-// forwarded order completes with its exact makespan even when that
-// exceeds the order's bound. best (min over completed orders) is
-// therefore exact but possibly > cutoff; in that case every abort ran
-// against bound = cutoff (best never dipped below it), so
-// min(best, minAbort) still exceeds the cutoff while lower-bounding the
-// true minimum — exactly the certificate the engine promises.
-func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *batchPrefix, cutoff float64, ff bool) float64 {
+// was recorded into pre: after one residual sweep for m
+// (kernel.residual), a critical-path pre-check that can reject the
+// candidate before any order is touched; then per order a pre-replay
+// bound (preLB) followed by a resume at the first patched position with
+// the dominance abort and the in-replay path bound (see simOrderInc).
+// dom = false disables the dominance abort — the replay of patches a
+// session's gate rejects. Results follow makespan's contract and
+// aggregation: the returned value is the exact schedule-set minimum
+// whenever it is <= cutoff, and otherwise both exceeds the cutoff and
+// lower-bounds the true makespan. Orders are visited smallest recorded
+// makespan first (then in index order), which tightens every later
+// order's bound; only the value of an over-cutoff certificate depends on
+// the visiting order.
+func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *batchPrefix, cutoff float64, dom bool) float64 {
 	if !k.feasible(st, m) {
 		return Infeasible
 	}
-	n, nd := k.n, k.nd
+	n := k.n
 	st.patchEpoch++
 	for _, v := range patch {
 		st.patchMark[v] = st.patchEpoch
-	}
-	if k.numOrders > 0 && !math.IsInf(cutoff, 1) {
-		// Global capacity pre-check from an empty schedule (sufLoad row 0
-		// of order 0 is the whole graph's per-device load under the
-		// recorded base): every order's makespan is at least
-		// load[d]/slots[d], so a bound above the cutoff rejects the
-		// candidate in O(|patch| + devices).
-		load := st.load
-		copy(load, pre.sufLoad[:nd])
-		for _, pv := range patch {
-			v := int(pv)
-			od, dv := int(pre.baseM[v]), m[v]
-			load[od] -= k.exec[od*n+v]
-			load[dv] += k.exec[dv*n+v]
-		}
-		lb := 0.0
-		for d := 0; d < nd; d++ {
-			if x := load[d] * k.invSlots[d] * loadSlack; x > lb {
-				lb = x
-			}
-		}
-		if lb > cutoff {
-			return lb
-		}
 	}
 	if crit := k.residual(st, m) * loadSlack; crit > cutoff {
 		return crit
@@ -833,22 +645,20 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 				continue
 			}
 		}
-		i0, pmax, barrier := k.patchWindow(o, patch)
-		if !ff {
-			pmax, barrier = n, n
+		i0, pmax := k.patchWindow(o, patch)
+		if !dom {
+			pmax = n
 		}
-		ms, complete := k.simOrderInc(st, m, o, i0, pmax, barrier, patch, pre, bound)
+		ms, complete := k.simOrderInc(st, m, o, i0, pmax, patch, pre, bound)
 		if complete {
 			if ms < best {
 				best = ms
 			}
-		} else {
-			if ms < minAbort {
-				minAbort = ms
-			}
+		} else if ms < minAbort {
+			minAbort = ms
 		}
 	}
-	if best <= cutoff || minAbort > best {
+	if !math.IsInf(best, 1) {
 		return best
 	}
 	return minAbort
@@ -857,8 +667,9 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 // IncrementalStats counts an Incremental session's activity. All
 // counters are deterministic functions of the session's call sequence.
 type IncrementalStats struct {
-	// Evals counts Evaluate calls; FastPath of those took the
-	// fast-forward path, Fallback the plain prefix-resume path.
+	// Evals counts Evaluate calls; FastPath of those replayed with the
+	// dominance abort enabled, Fallback without it (the gate rejected the
+	// patch).
 	Evals, FastPath, Fallback int
 	// Applies counts committed moves, Rebuilds full recordings (the
 	// initial one plus one per Rebase actually followed by use).
@@ -868,20 +679,16 @@ type IncrementalStats struct {
 // Incremental is a long-lived single-goroutine evaluation session around
 // an evolving base mapping — the engine-side core of the incremental
 // SP-tree evaluation. It owns a private recording of the base's full
-// simulation (every order's per-position schedule state plus per-device
-// suffix loads) and serves three operations in O(dirty window) instead
-// of O(n):
+// simulation (every order's per-position schedule state) and serves
+// three operations without simulating the unchanged prefix:
 //
-//   - Evaluate: makespan of the base with a patch applied. The global
-//     capacity bound rejects most over-cutoff candidates outright; the
-//     rest resume each order at the first patched position with fast-
-//     forwarding and the in-replay capacity bound (simOrderInc). Moves
-//     whose patch the gate rejects fall back to the plain prefix-resume
-//     replay — still resumed and still capacity-bounded, just without
-//     fast-forward.
+//   - Evaluate: makespan of the base with a patch applied. Each order
+//     resumes at the first patched position and replays to the end
+//     unless a bound aborts it (makespanInc). Patches the gate rejects
+//     replay without the dominance abort.
 //   - Apply: commit a patch to the base, folding it into every order's
-//     recording at once (a windowed in-place rebase per order) rather
-//     than re-recording.
+//     recording at once (an in-place rebase of each order from its
+//     first moved position) rather than re-recording.
 //   - Rebase: adopt an arbitrary new base (elite restarts, kicks); the
 //     recording is rebuilt lazily on next use.
 //
@@ -903,13 +710,11 @@ type Incremental struct {
 }
 
 // Incremental opens an incremental evaluation session around a private
-// copy of base. gate, if non-nil, decides per patch whether the
-// fast-forward path applies (patches it rejects fall back to the plain
-// prefix-resume replay); single-task patches always fast-forward, and
-// with a nil gate every patch does. The mappers pass nil: fast-forward
-// is exact for any patch, and every patch they propose lies inside one
-// decomposition tree. base must have one entry per task of the compiled
-// graph.
+// copy of base. gate, if non-nil, decides per patch whether its replay
+// enables the dominance abort (patches it rejects replay without it);
+// single-task patches always enable it, and with a nil gate every patch
+// does. The mappers pass nil: the abort is sound for any patch. base
+// must have one entry per task of the compiled graph.
 func (e *Engine) Incremental(base mapping.Mapping, gate func([]graph.NodeID) bool) *Incremental {
 	s := &Incremental{
 		e:    e,
@@ -948,13 +753,13 @@ func (s *Incremental) Evaluate(patch []graph.NodeID, device int, cutoff float64)
 	for _, v := range patch {
 		st.mbuf[v] = device
 	}
-	ff := len(patch) <= 1 || s.gate == nil || s.gate(patch)
-	if ff {
+	dom := len(patch) <= 1 || s.gate == nil || s.gate(patch)
+	if dom {
 		s.stats.FastPath++
 	} else {
 		s.stats.Fallback++
 	}
-	ms := s.e.k.makespanInc(st, st.mbuf, patch, s.pre, cutoff, ff)
+	ms := s.e.k.makespanInc(st, st.mbuf, patch, s.pre, cutoff, dom)
 	for _, v := range patch {
 		st.mbuf[v] = s.base[v]
 	}
@@ -962,8 +767,9 @@ func (s *Incremental) Evaluate(patch []graph.NodeID, device int, cutoff float64)
 }
 
 // Apply commits a patch to the session base and folds it into every
-// order's recording at once (kernel.commit — a windowed rebase per
-// order, bit-identical to a fresh build of the new base). Patches must
+// order's recording at once (kernel.commit — a rebase of each order
+// from its first moved position, bit-identical to a fresh build of the
+// new base). Patches must
 // not repeat a task.
 func (s *Incremental) Apply(patch []graph.NodeID, device int) {
 	s.ensure()

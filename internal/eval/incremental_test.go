@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spmap/internal/eval"
 	"spmap/internal/gen"
 	"spmap/internal/graph"
 	"spmap/internal/mapping"
@@ -102,8 +103,9 @@ func TestIncrementalMatchesEngine(t *testing.T) {
 }
 
 // TestIncrementalGateFallback pins the gate semantics: single-task
-// patches always take the fast path, multi-task patches consult the
-// gate, and both paths return identical values.
+// patches always enable the dominance abort, multi-task patches consult
+// the gate, and replays with and without the abort return identical
+// values.
 func TestIncrementalGateFallback(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(11))
@@ -127,16 +129,27 @@ func TestIncrementalGateFallback(t *testing.T) {
 		if a != b {
 			t.Fatalf("dev %d: pair eval differs across gates: %v vs %v", dev, a, b)
 		}
-		if want := eng.Makespan(base.Clone().Assign(pair, dev)); a != want {
+		want := eng.Makespan(base.Clone().Assign(pair, dev))
+		if a != want {
 			t.Fatalf("dev %d: gated pair eval %v != engine %v", dev, a, want)
+		}
+		// Under a finite cutoff only the accepting session's replay can
+		// take the dominance abort: both must meet the cutoff contract.
+		for _, cutoff := range []float64{want, want * 0.9} {
+			for _, s := range []*eval.Incremental{reject, accept} {
+				got := s.Evaluate(pair, dev, cutoff)
+				if (want <= cutoff && got != want) || (want > cutoff && (got <= cutoff || got > want)) {
+					t.Fatalf("dev %d cutoff %v: pair eval %v breaks the cutoff contract (exact %v)", dev, cutoff, got, want)
+				}
+			}
 		}
 	}
 	nd := p.NumDevices()
-	if st := reject.Stats(); st.Fallback != nd || st.FastPath != nd {
-		t.Fatalf("rejecting gate stats %+v: want %d fallbacks (pairs) and %d fast (singles)", st, nd, nd)
+	if st := reject.Stats(); st.Fallback != 3*nd || st.FastPath != nd {
+		t.Fatalf("rejecting gate stats %+v: want %d fallbacks (pairs) and %d fast (singles)", st, 3*nd, nd)
 	}
-	if st := accept.Stats(); st.Fallback != 0 || st.FastPath != 2*nd {
-		t.Fatalf("accepting gate stats %+v: want all %d evals on the fast path", st, 2*nd)
+	if st := accept.Stats(); st.Fallback != 0 || st.FastPath != 4*nd {
+		t.Fatalf("accepting gate stats %+v: want all %d evals with the dominance abort enabled", st, 4*nd)
 	}
 }
 

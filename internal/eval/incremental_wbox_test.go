@@ -240,8 +240,8 @@ func checkFreshRecording(t *testing.T, k *kernel, st *simState, base []int, pre,
 }
 
 // comparePrefix asserts that got and want are bit-identical recordings:
-// the base row, and every order's checkpoints, task times, suffix
-// maxima and suffix loads.
+// the base row, and every order's checkpoints, task times and suffix
+// maxima.
 func comparePrefix(t *testing.T, what string, k *kernel, got, want *batchPrefix) {
 	t.Helper()
 	for v := range got.baseM {
@@ -249,7 +249,7 @@ func comparePrefix(t *testing.T, what string, k *kernel, got, want *batchPrefix)
 			t.Fatalf("%s base row %v != %v", what, got.baseM, want.baseM)
 		}
 	}
-	n, ns, nd := k.n, k.numSlots, k.nd
+	n, ns := k.n, k.numSlots
 	same := func(a, b []float64) bool {
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -268,7 +268,6 @@ func comparePrefix(t *testing.T, what string, k *kernel, got, want *batchPrefix)
 			{"start", got.start[o*n : (o+1)*n], want.start[o*n : (o+1)*n]},
 			{"finish", got.finish[o*n : (o+1)*n], want.finish[o*n : (o+1)*n]},
 			{"sufMax", got.sufMax[o*(n+1) : (o+1)*(n+1)], want.sufMax[o*(n+1) : (o+1)*(n+1)]},
-			{"sufLoad", got.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd], want.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]},
 		}
 		for _, r := range rows {
 			if !same(r.got, r.want) {
@@ -286,5 +285,4 @@ func copyPrefix(dst, src *batchPrefix) {
 	copy(dst.msCkpt, src.msCkpt)
 	copy(dst.sufMax, src.sufMax)
 	copy(dst.baseM, src.baseM)
-	copy(dst.sufLoad, src.sufLoad)
 }

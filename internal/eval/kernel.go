@@ -137,10 +137,6 @@ type kernel struct {
 	// every simulation loop recognizes it.
 	slotStart []int32
 	numSlots  int
-	// invSlots[d] is 1/numSlots(d) for non-spatial devices and 0 for
-	// spatial ones — the capacity factor of the incremental evaluator's
-	// load lower bound (see incremental.go).
-	invSlots []float64
 
 	// Star-interconnect transfer constants per ordered device pair
 	// (a*nd+b): pairLat is the summed per-hop setup latency, pairBW the
@@ -149,16 +145,6 @@ type kernel struct {
 	// the same order, as platform.TransferTime.
 	pairLat []float64
 	pairBW  []float64
-
-	// maxOutPos[o*n+v] is, within order o, the last position that reads
-	// task v's placement: the maximum order-o position over v itself and
-	// all of v's consumers. It is the static half of the incremental
-	// evaluator's dirty-path bound (see incremental.go): once a resumed
-	// simulation passes this position for every mutated task, no
-	// remaining task can observe the mutation through a data edge, and
-	// only the device-slot state can still differ from the memoized base
-	// recording. Mapping-independent, so it lives on the kernel.
-	maxOutPos []int32
 }
 
 // compile flattens (g, p, orders) into a kernel. The orders must be
@@ -215,12 +201,6 @@ func compileNoise(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID, n
 		}
 	}
 	k.numSlots = int(k.slotStart[nd])
-	k.invSlots = make([]float64, nd)
-	for d := 0; d < nd; d++ {
-		if s := k.slotStart[d+1] - k.slotStart[d]; s > 0 {
-			k.invSlots[d] = 1 / float64(s)
-		}
-	}
 	k.pos = make([]int32, len(orders)*n)
 	for o, order := range orders {
 		for i, v := range order {
@@ -293,25 +273,6 @@ func compileNoise(g *graph.DAG, p *platform.Platform, orders [][]graph.NodeID, n
 			k.pairBW[a*nd+b] = bw
 		}
 	}
-	// Consumer-position index: transpose the in-edge CSR per order. A
-	// task's own position is the floor (a move of v always re-places v
-	// itself).
-	k.maxOutPos = make([]int32, len(orders)*n)
-	for o := range orders {
-		row := k.maxOutPos[o*n : (o+1)*n]
-		posRow := k.pos[o*n : (o+1)*n]
-		for v := 0; v < n; v++ {
-			row[v] = posRow[v]
-		}
-		for v := 0; v < n; v++ {
-			pv := posRow[v]
-			for i := k.inStart[v]; i < k.inStart[v+1]; i++ {
-				if u := k.inFrom[i]; pv > row[u] {
-					row[u] = pv
-				}
-			}
-		}
-	}
 	return k
 }
 
@@ -331,11 +292,9 @@ type simState struct {
 	stamp []uint64
 	epoch uint64
 
-	// load/freeSum are the incremental evaluator's per-device capacity
-	// scratch: remaining execution load of the unplaced order suffix and
-	// the running sum of slot next-free times (see incremental.go).
-	load    []float64
-	freeSum []float64
+	// rel is preLB's per-device scratch: the slot time the patched tasks
+	// release on each device they leave.
+	rel []float64
 
 	// patchMark/patchEpoch mark the tasks of the patch makespanInc is
 	// evaluating: patchMark[v] == patchEpoch iff v is patched, the O(1)
@@ -363,8 +322,7 @@ func (k *kernel) newState() *simState {
 		mbuf:      make([]int, k.n),
 		keybuf:    make([]byte, k.n),
 		stamp:     make([]uint64, k.n),
-		load:      make([]float64, k.nd),
-		freeSum:   make([]float64, k.nd),
+		rel:       make([]float64, k.nd),
 		patchMark: make([]uint64, k.n),
 		moved:     make([]graph.NodeID, 0, k.n),
 		res:       make([]float64, k.n),
@@ -385,34 +343,21 @@ type batchPrefix struct {
 	// freeCkpt[(o*n + i)*numSlots + s] is slot s's next-free time before
 	// order-o position i is placed, in simState.free's layout: each
 	// device's segment ascending, so a checkpoint is the canonical form of
-	// the devices' next-free multisets and a replay's slot state matches
-	// it exactly when those multisets are equal.
+	// the devices' next-free multisets, which slotGap pairs position by
+	// position.
 	freeCkpt []float64
 	msCkpt   []float64 // [o*n + i]
 
 	// sufMax[o*(n+1)+i] is the maximum finish time over order-o positions
-	// >= i of the recorded base (sufMax[..+n] = -Inf). It is the
-	// memoized contribution of the untouched suffix: a resumed simulation
-	// whose schedule state reconverges with the recording at position i
-	// has final makespan max(running, sufMax[i]) without replaying the
-	// suffix (see incremental.go). sufMax[o*(n+1)] is order o's full
-	// recorded makespan. Filled by buildPrefix; kept consistent by
-	// Incremental.Apply's windowed rebase.
+	// >= i of the recorded base (sufMax[..+n] = -Inf): what the
+	// dominance bounds of incremental.go subtract their perturbation
+	// from. sufMax[o*(n+1)] is order o's full recorded makespan. Filled
+	// and kept consistent by rebaseOrder.
 	sufMax []float64
 
 	// baseM[v] is the device the recording placed task v on, in every
 	// order — the reference the incremental bounds diff patches against.
 	baseM []int32
-	// sufLoad[(o*(n+1)+i)*nd+d] is the total execution time, on device d,
-	// of the order-o tasks at positions >= i under baseM (row n is all
-	// zeros). It feeds the capacity lower bound (see incremental.go):
-	// at a resume position the remaining per-device load divided by the
-	// device's slot count bounds the order makespan from below, killing
-	// over-cutoff candidates without replaying them. Unlike the schedule
-	// recording it is pure arithmetic over (order, mapping), so
-	// Incremental.Apply keeps it exactly up to date with the same
-	// suffix-sum recurrence buildPrefix uses (bit-identical, drift-free).
-	sufLoad []float64
 }
 
 func (k *kernel) newPrefix() *batchPrefix {
@@ -424,7 +369,6 @@ func (k *kernel) newPrefix() *batchPrefix {
 		msCkpt:   make([]float64, on),
 		sufMax:   make([]float64, k.numOrders*(k.n+1)),
 		baseM:    make([]int32, k.n),
-		sufLoad:  make([]float64, k.numOrders*(k.n+1)*k.nd),
 	}
 }
 
@@ -619,45 +563,26 @@ func (k *kernel) simOrder(st *simState, m []int, o int, bound float64) (float64,
 }
 
 // buildPrefix records the full simulation of base into pre: the base
-// row, every order's suffix loads, and every order's schedule, which
-// rebaseOrder writes by replaying the whole order from an empty
-// schedule (a zeroed row-0 checkpoint) — the one loop that also folds
-// accepted moves in, and whose placement arithmetic simOrderInc repeats
-// operation for operation when it resumes from the recording, so
-// resumed suffixes continue bit-identically. Infeasibility of the base
-// is irrelevant here — the prefix only supplies the shared schedule
-// state.
+// row and every order's schedule, which rebaseOrder writes by replaying
+// the whole order from an empty schedule (a zeroed row-0 checkpoint) —
+// the one loop that also folds accepted moves in, and whose placement
+// arithmetic simOrderInc repeats operation for operation when it resumes
+// from the recording, so resumed suffixes continue bit-identically.
+// Infeasibility of the base is irrelevant here — the prefix only
+// supplies the shared schedule state.
 func (k *kernel) buildPrefix(st *simState, base []int, pre *batchPrefix) {
-	n, nd, ns := k.n, k.nd, k.numSlots
+	n, ns := k.n, k.numSlots
 	for v, d := range base {
 		pre.baseM[v] = int32(d)
 	}
 	for o := 0; o < k.numOrders; o++ {
-		clear(pre.sufLoad[(o*(n+1)+n)*nd : (o+1)*(n+1)*nd])
-		k.sufLoads(base, o, n-1, pre)
 		pre.sufMax[o*(n+1)+n] = math.Inf(-1)
 		if n == 0 {
 			continue // nothing to replay
 		}
 		clear(pre.freeCkpt[o*n*ns : (o*n+1)*ns])
 		pre.msCkpt[o*n] = 0
-		k.rebaseOrder(st, base, o, 0, n, pre)
-	}
-}
-
-// sufLoads derives order o's sufLoad rows top..0 from row top+1 under
-// base: each row is the row below plus one task. buildPrefix and
-// applyOrder share this recurrence, so a re-derived row is
-// bit-identical to a fresh build and immune to incremental float drift.
-func (k *kernel) sufLoads(base []int, o, top int, pre *batchPrefix) {
-	n, nd := k.n, k.nd
-	sl := pre.sufLoad[o*(n+1)*nd : (o+1)*(n+1)*nd]
-	order := k.orders[o*n : (o+1)*n]
-	for j := top; j >= 0; j-- {
-		copy(sl[j*nd:(j+1)*nd], sl[(j+1)*nd:(j+2)*nd])
-		v := int(order[j])
-		d := base[v]
-		sl[j*nd+d] += k.exec[d*n+v]
+		k.rebaseOrder(st, base, o, 0, pre)
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 //   - full: every candidate is materialized as a whole mapping and
 //     replays every schedule order from position zero (a whole-mapping
 //     evaluation never resumes from a recorded prefix);
-//   - incremental: the session path — fast-forwarded bounded replays
-//     against a persistent recording that accepted moves repair in
-//     place instead of re-recording (Engine.Incremental).
+//   - incremental: the session path — bounded replays resumed at the
+//     first patched position of a persistent recording that accepted
+//     moves repair in place instead of re-recording
+//     (Engine.Incremental).
 //
 // Both must return bit-identical values at or below the cutoff and
 // therefore accept exactly the same moves; the experiment panics on any

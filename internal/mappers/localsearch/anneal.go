@@ -118,9 +118,9 @@ func (s *searcher) anneal() {
 				for _, v := range ops[i].Patch {
 					s.cur[v] = ops[i].Device
 				}
-				if s.inc != nil {
-					// Repair the session recording in place (windowed
-					// rebase — no re-recording).
+				if !s.mo {
+					// Fold the move into the session recording in place
+					// (no re-recording).
 					s.inc.Apply(ops[i].Patch, ops[i].Device)
 				}
 				s.moveTo(i, val)
@@ -137,7 +137,7 @@ func (s *searcher) anneal() {
 		// instead of cooling into a worse valley.
 		if s.curVal-s.bestVal > acceptTailFactor*temp {
 			copy(s.cur, s.best)
-			if s.inc != nil {
+			if !s.mo {
 				s.inc.Rebase(s.cur)
 			}
 			s.curVal = s.bestVal

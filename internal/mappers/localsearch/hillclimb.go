@@ -71,7 +71,7 @@ func (s *searcher) hillClimb() {
 		// session path additionally tightens the cutoff to the running
 		// winner, which cannot change the argmin (see evalBatchMin).
 		var res []float64
-		if s.inc != nil {
+		if !s.mo {
 			res = s.evalBatchMin(ops, s.curVal)
 		} else {
 			res = s.evalBatch(ops, s.curVal)
@@ -87,7 +87,7 @@ func (s *searcher) hillClimb() {
 			for _, v := range ops[bestOp].Patch {
 				s.cur[v] = ops[bestOp].Device
 			}
-			if s.inc != nil {
+			if !s.mo {
 				s.inc.Apply(ops[bestOp].Patch, ops[bestOp].Device)
 			}
 			s.moveTo(bestOp, bestVal)
@@ -109,15 +109,12 @@ func (s *searcher) hillClimb() {
 			s.curMS = s.eng.Makespan(s.cur)
 			s.curEn = s.eng.Energy(s.cur)
 			s.curVal = s.cost(s.curMS, s.curEn)
-		} else if s.inc != nil {
+		} else {
 			// Kicks change many tasks at once: re-record rather than
 			// rebase, and read the (bit-identical) makespan off the fresh
 			// recording.
 			s.inc.Rebase(s.cur)
 			s.curVal = s.inc.Makespan()
-			s.curMS = s.curVal
-		} else {
-			s.curVal = s.eng.Makespan(s.cur)
 			s.curMS = s.curVal
 		}
 		s.stats.Evaluations++
@@ -126,7 +123,7 @@ func (s *searcher) hillClimb() {
 			// Repair could not restore feasibility (it only moves tasks to
 			// the default device); restart from the best-seen mapping.
 			copy(s.cur, s.best)
-			if s.inc != nil {
+			if !s.mo {
 				s.inc.Rebase(s.cur)
 			}
 			s.curVal = s.bestVal

@@ -185,9 +185,9 @@ type searcher struct {
 	bestVal float64
 
 	// inc, in single-objective mode, is the engine's incremental
-	// evaluation session around the incumbent: candidate moves replay
-	// only their dirty schedule window against a persistent recording
-	// that accepted moves repair in place (Apply) instead of
+	// evaluation session around the incumbent: candidate moves resume
+	// at their first patched position against a persistent recording
+	// that accepted moves fold in place (Apply) instead of
 	// re-recording. Values at or below the bound are exact and
 	// bit-identical to the batch path, so every accept/argmin decision —
 	// and therefore every mapping, stat and golden — is unchanged; only
@@ -308,13 +308,11 @@ func search(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats, error) {
 	// Degenerate instances leave nothing to search.
 	if s.n > 0 && s.nd > 1 && s.curVal > 0 {
 		if !s.mo {
-			// Single-objective searches evaluate through an incremental
-			// session with no gate: every move fast-forwards. Each one
-			// lies inside one series-parallel decomposition tree anyway
-			// (single tasks, edge co-moves and the §III-C subgraph sets
-			// all do — the forest partitions the edges). Weighted mode
-			// keeps the engine's multi-objective batch path (which the
-			// engine fast-forwards transparently on its own).
+			// Single-objective searches evaluate every move through one
+			// incremental session with no gate, so every replay has the
+			// dominance abort enabled. Weighted mode keeps the engine's
+			// multi-objective batch path, whose patched ops resume from
+			// the batch's shared prefix recording on their own.
 			s.inc = s.eng.Incremental(s.cur, nil)
 		}
 		switch opt.Algorithm {
@@ -323,9 +321,8 @@ func search(ev *model.Evaluator, opt Options) (mapping.Mapping, Stats, error) {
 		default:
 			s.anneal()
 		}
-		if s.inc != nil {
+		if !s.mo {
 			s.inc.Close()
-			s.inc = nil
 		}
 	}
 	s.stats.Makespan = s.bestMS
@@ -383,14 +380,11 @@ func (s *searcher) msCutFor(bound float64) float64 {
 // bound).
 func (s *searcher) evalBatch(ops []eval.Op, bound float64) []float64 {
 	if !s.mo {
-		if s.inc != nil {
-			vals := s.resultBuf(len(ops))
-			for i := range ops {
-				vals[i] = s.inc.Evaluate(ops[i].Patch, ops[i].Device, bound)
-			}
-			return vals
+		vals := s.resultBuf(len(ops))
+		for i := range ops {
+			vals[i] = s.inc.Evaluate(ops[i].Patch, ops[i].Device, bound)
 		}
-		return s.eng.EvaluateBatch(ops, bound)
+		return vals
 	}
 	msCut := s.msCutFor(bound)
 	cols := s.eng.EvaluateBatchVec(ops, s.objs, msCut)
@@ -489,9 +483,7 @@ func (s *searcher) maybeSync() (stop bool) {
 	// searcher's scalarization, so injection is skipped.
 	if !s.mo && d.Elite != nil && len(d.Elite) == len(s.cur) && d.EliteValue < s.curVal {
 		copy(s.cur, d.Elite)
-		if s.inc != nil {
-			s.inc.Rebase(s.cur) // foreign incumbent: lazy re-record
-		}
+		s.inc.Rebase(s.cur) // foreign incumbent: lazy re-record
 		s.curVal = d.EliteValue
 		s.curMS = d.EliteValue
 		s.stats.Injected++

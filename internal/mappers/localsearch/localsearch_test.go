@@ -4,9 +4,11 @@ package localsearch_test
 // the other mappers for refinement and comparison tests.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"spmap/internal/coord"
 	"spmap/internal/gen"
 	"spmap/internal/mappers/heft"
 	"spmap/internal/mappers/localsearch"
@@ -170,6 +172,105 @@ func TestHillClimbBeatsAnnealOnTinyBudget(t *testing.T) {
 		}
 		if got := ev.Makespan(m); got != st.Makespan {
 			t.Fatalf("%v: makespan mismatch %v != %v", alg, got, st.Makespan)
+		}
+	}
+}
+
+// TestSyncContract drives the coordination hook the portfolio runner
+// installs, on both algorithms. Each case answers the first rendezvous
+// with one directive and every later one with none: a better exact
+// elite plus Stop is adopted without spending an evaluation and ends the
+// run there, a negative budget delta ends the run below its original
+// budget, and weighted mode ignores elites (their values are not
+// comparable to its scalarized cost).
+func TestSyncContract(t *testing.T) {
+	ev := testEvaluator(t, 29, 40)
+	const budget = 2000
+	// The elite a longer-running member would forward: its value is the
+	// exact makespan under the same engine.
+	elite, est, err := localsearch.MapWithEvaluator(ev, localsearch.Options{
+		Algorithm: localsearch.HillClimb, Seed: 1, Budget: 5 * budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eliteVal := est.Makespan
+	cases := []struct {
+		name     string
+		weighted bool
+		first    coord.SyncDirective
+		check    func(t *testing.T, m mapping.Mapping, st localsearch.Stats, first coord.SyncInfo)
+	}{
+		{
+			name:  "elite and stop",
+			first: coord.SyncDirective{Elite: elite, EliteValue: eliteVal, Stop: true},
+			check: func(t *testing.T, m mapping.Mapping, st localsearch.Stats, first coord.SyncInfo) {
+				if eliteVal >= first.BestValue {
+					t.Fatalf("premise: elite %v does not beat the best %v at the rendezvous", eliteVal, first.BestValue)
+				}
+				if st.Injected != 1 || !st.Stopped {
+					t.Fatalf("injected %d, stopped %v: want 1, true", st.Injected, st.Stopped)
+				}
+				if st.Makespan != eliteVal || !m.Equal(elite) {
+					t.Fatalf("result %v (makespan %v), want the elite %v (makespan %v)", m, st.Makespan, elite, eliteVal)
+				}
+				if st.Evaluations != first.Evaluations {
+					t.Fatalf("%d evaluations, want the %d the hook saw: adoption must be free", st.Evaluations, first.Evaluations)
+				}
+			},
+		},
+		{
+			name:  "negative budget delta",
+			first: coord.SyncDirective{BudgetDelta: -budget / 2},
+			check: func(t *testing.T, m mapping.Mapping, st localsearch.Stats, first coord.SyncInfo) {
+				if st.Stopped || st.Injected != 0 {
+					t.Fatalf("stopped %v, injected %d: want false, 0", st.Stopped, st.Injected)
+				}
+				if st.Evaluations > budget/2 || st.Evaluations <= first.Evaluations {
+					t.Fatalf("%d evaluations, want in (%d, %d]", st.Evaluations, first.Evaluations, budget/2)
+				}
+			},
+		},
+		{
+			name:     "weighted mode ignores the elite",
+			weighted: true,
+			first:    coord.SyncDirective{Elite: elite, EliteValue: 0},
+			check: func(t *testing.T, m mapping.Mapping, st localsearch.Stats, first coord.SyncInfo) {
+				if st.Injected != 0 || st.Stopped {
+					t.Fatalf("injected %d, stopped %v: want 0, false", st.Injected, st.Stopped)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		for _, alg := range []localsearch.Algorithm{localsearch.Anneal, localsearch.HillClimb} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, alg), func(t *testing.T) {
+				var seen []coord.SyncInfo
+				opt := localsearch.Options{
+					Algorithm: alg, Seed: 4, Budget: budget, SyncEvery: 50,
+					Sync: func(info coord.SyncInfo) coord.SyncDirective {
+						seen = append(seen, info)
+						if len(seen) == 1 {
+							return tc.first
+						}
+						return coord.SyncDirective{}
+					},
+				}
+				if tc.weighted {
+					opt.WTime, opt.WEnergy = 1, 1
+				}
+				m, st, err := localsearch.MapWithEvaluator(ev, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(seen) == 0 || st.Syncs != len(seen) {
+					t.Fatalf("%d syncs counted, %d seen by the hook", st.Syncs, len(seen))
+				}
+				if seen[0].Budget != budget || seen[0].Evaluations < opt.SyncEvery {
+					t.Fatalf("first rendezvous at %d of %d evaluations", seen[0].Evaluations, seen[0].Budget)
+				}
+				tc.check(t, m, st, seen[0])
+			})
 		}
 	}
 }

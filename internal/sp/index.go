@@ -5,15 +5,15 @@ import "spmap/internal/graph"
 // Index answers tree-membership queries against a decomposition forest:
 // which decomposition trees cover a task and, centrally, whether a set
 // of tasks lies within a single tree. Within fits the gate parameter of
-// eval's incremental sessions: a patch whose tasks all belong to one
-// series-parallel decomposition tree takes the fast-forward path, a
-// patch spanning several trees (possible only on non-series-parallel
-// graphs, whose forest has cut trees) falls back to the plain
-// prefix-resume replay. No mapper gates its session: every patch they
-// propose lies inside one tree, so the gate would accept it anyway. The
-// benchmark's session probe (perfbench/harness.go) opens its sessions
-// with Within, which is why the gate, the session's FastPath/Fallback
-// counters and this index are kept.
+// eval's incremental sessions, which only decides whether a patch's
+// replay enables the dominance abort: a patch whose tasks all belong to
+// one series-parallel decomposition tree enables it, a patch spanning
+// several trees (possible only on non-series-parallel graphs, whose
+// forest has cut trees) replays without it. No mapper gates its
+// session: the abort is sound for any patch. The benchmark's session probe
+// (perfbench/harness.go) opens its sessions with Within, which is why
+// the gate, the session's FastPath/Fallback counters and this index are
+// kept.
 //
 // Membership is stored as one bitset of trees per task, so Within is a
 // handful of word ANDs per queried task. Boundary nodes (a cut tree's

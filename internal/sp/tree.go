@@ -70,9 +70,6 @@ func NewLeaf(u, v graph.NodeID, edgeIndex int) *Tree {
 // Size returns the number of leaf edges in the tree.
 func (t *Tree) Size() int { return t.size }
 
-// Outsize returns the number of leaf edges ending in V.
-func (t *Tree) Outsize() int { return t.outsize }
-
 // series concatenates two trees head to tail (a.V must equal b.U); it
 // flattens nested series operations so inner nodes are maximal n-ary
 // operations as in the paper's figures.

@@ -96,10 +96,9 @@
 // look-ahead loop of the decomposition mappers additionally evaluate
 // through Engine.Incremental (package eval): a long-lived session that
 // records the incumbent's simulation once and then serves each
-// candidate move in O(changed window) — capacity lower bounds, resumed
-// replays with fast-forward reconvergence, and an in-place repair of
-// the recording on each accepted move — with results bit-identical to
-// Engine.Makespan on the
+// candidate move by a bounded replay resumed at its first patched
+// position, and each accepted move by an in-place repair of the
+// recording — with results bit-identical to Engine.Makespan on the
 // materialized mapping and zero steady-state allocations. Batches and
 // sessions are the engine's only two ways of scoring a candidate. The
 // session is an engine-internal fast path: it changes no spmap-level
