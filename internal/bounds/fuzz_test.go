@@ -5,9 +5,10 @@ package bounds
 // edges, schedule set all steered by the payload), the real mappers
 // (SPFF, HEFT/PEFT, anneal) plus random assignments produce a spread of
 // feasible mappings, and every lower bound must stay below the model
-// makespan of every one of them. Bounds must also be bit-identical
-// across engine worker counts {1,4} — they are instance functions, not
-// schedule functions.
+// makespan of every one of them — and, on instances of at most
+// maxOracleTasks tasks, below the enumerated optimum, which no mapper
+// may beat. Bounds must also be bit-identical across engine worker
+// counts {1,4} — they are instance functions, not schedule functions.
 
 import (
 	"math"
@@ -90,8 +91,8 @@ func FuzzLowerBoundSound(f *testing.F) {
 			}
 		}
 
-		// Every feasible mapping any mapper produces must dominate every
-		// bound.
+		// Every feasible mapping any mapper produces, and on small
+		// instances the optimum, must dominate every bound.
 		ev := model.NewEvaluator(g, p).WithSchedules(nSched, seed)
 		var candidates []mapping.Mapping
 		candidates = append(candidates, mapping.Baseline(g, p))
@@ -115,16 +116,23 @@ func FuzzLowerBoundSound(f *testing.F) {
 			}
 			candidates = append(candidates, m)
 		}
+		floor, arg := math.Inf(1), mapping.Mapping(nil) // least feasible makespan seen
 		for _, m := range candidates {
-			ms := ev.Makespan(m)
-			if ms == model.Infeasible {
-				continue
+			if ms := ev.Makespan(m); ms != model.Infeasible && ms < floor {
+				floor, arg = ms, m
 			}
-			for i, b := range methods {
-				if vals[i] > ms*(1+1e-9)+1e-9 {
-					t.Fatalf("%s: bound %v exceeds feasible makespan %v (mapping %v)",
-						b.Name(), vals[i], ms, m)
-				}
+		}
+		if g.NumTasks() <= maxOracleTasks {
+			opt, optArg := optimum(t, ev)
+			if floor < opt {
+				t.Fatalf("mapping %v has makespan %v below the enumerated optimum %v", arg, floor, opt)
+			}
+			floor, arg = opt, optArg
+		}
+		for i, b := range methods {
+			if vals[i] > floor*(1+1e-9)+1e-9 {
+				t.Fatalf("%s: bound %v exceeds feasible makespan %v (mapping %v)",
+					b.Name(), vals[i], floor, arg)
 			}
 		}
 	})

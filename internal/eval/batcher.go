@@ -28,20 +28,13 @@ type BatcherOptions struct {
 // on a channel and are flushed to one runBatchCtx call either when
 // MaxBatch of them are pending or MaxWait after the first arrived,
 // whichever comes first. Each submitted op carries its own cutoff and a
-// private response channel, so results are delivered per op under the
-// direct EvaluateBatch path's cutoff contract: a value at or below the
-// op's cutoff is bit-identical to the direct result, and a value above
-// it stays above it on both paths but is a lower-bound certificate
-// whose magnitude depends on the flush that carries the op (a flush
-// records a shared base's prefix only when enough of its ops share
-// that base, so an op that rides a small flush is replayed in full
-// where the direct batch resumes it from the prefix). Coalescing
-// changes which flush carries an op, never a result a caller may act
-// on. Cross-request amortization comes from three places:
-// wider batches keep the engine's worker pool busy instead of paying
-// fan-out per tiny request, one flush records at most one shared-base
-// prefix, and a shared cache is consulted once per distinct mapping per
-// flush wave instead of once per request thread.
+// private response channel, and every result is bit-identical to the
+// direct EvaluateBatch result: coalescing changes which flush carries
+// an op, never its value. Cross-request amortization comes from three
+// places: wider batches keep the engine's worker pool busy instead of
+// paying fan-out per tiny request, one flush records at most one
+// shared-base prefix, and a shared cache is consulted once per distinct
+// mapping per flush wave instead of once per request thread.
 //
 // A Batcher is bound to the engine it was built from (kernel, cache,
 // workers); attach it to derived engines with Engine.WithBatcher. Close
@@ -147,14 +140,6 @@ type BatcherStats struct {
 	// submit call — the cross-request amortization the batcher exists
 	// for. MaxFlush is the largest flush seen.
 	CrossFlushes, MaxFlush int64
-}
-
-// AvgFlush returns Items / Flushes (0 before any flush).
-func (s BatcherStats) AvgFlush() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.Items) / float64(s.Flushes)
 }
 
 // Stats returns a telemetry snapshot.

@@ -16,16 +16,11 @@ import (
 // Correctness contract: the cache only ever stores *exact* results — a
 // makespan is stored when it obeyed the cutoff (result <= cutoff) or is
 // the definitive Infeasible sentinel, and energies are exact by
-// construction. A hit therefore returns the bit-identical value a fresh
-// simulation would produce, for any cutoff: exact values at or below the
-// caller's cutoff are what the engine contract promises, and an exact
-// value above it still certifies that the true makespan exceeds the
-// cutoff. Cutoff-clamped partial results (lower bounds) are never
-// stored. Consequently a cached engine can only change *which* value
-// above the cutoff a caller observes — never whether it is above — so
-// any search that treats beyond-cutoff results as plain rejections (all
-// mappers in this repository do) returns bit-identical mappings and
-// deterministic stats with and without a cache.
+// construction. Rejections are never stored, and a stored makespan
+// above the caller's cutoff is served as the rejection value, so a hit
+// returns the bit-identical value a fresh simulation would produce
+// under any cutoff, and a cached engine's results equal the uncached
+// engine's bit for bit.
 //
 // Keys are the full materialized device assignment (one byte per task),
 // so distinct mappings can never collide; "mapping hash" lookups are
@@ -242,16 +237,21 @@ func (e *Engine) Cache() *Cache { return e.cache }
 
 // cachedEval wraps one materialized-mapping evaluation with a cache
 // lookup and an exactness-gated store. m is the fully materialized
-// device assignment; sim runs the simulation on a miss (or when the
-// cached entry lacks a requested energy).
+// device assignment; sim runs the simulation on a miss. A stored exact
+// makespan above the cutoff is served as rejected(cutoff), the value
+// sim would have returned.
 func (e *Engine) cachedEval(st *simState, m []int, cutoff float64, en *float64, sim func() float64) float64 {
 	key := st.keybuf[:len(m)]
 	for i, d := range m {
 		key[i] = byte(d)
 	}
 	if ent, ok := e.cache.lookup(key); ok {
+		ms := ent.ms
+		if ms != Infeasible && ms > cutoff {
+			ms = rejected(cutoff)
+		}
 		if en == nil {
-			return ent.ms
+			return ms
 		}
 		if !ent.hasEn {
 			// Materialize the energy lazily (one O(n) table pass) and
@@ -260,15 +260,15 @@ func (e *Engine) cachedEval(st *simState, m []int, cutoff float64, en *float64, 
 			e.cache.store(key, ent)
 		}
 		*en = ent.en
-		return ent.ms
+		return ms
 	}
 	ms := sim()
 	if en != nil {
 		*en = e.k.energy(st, m)
 	}
 	// Only exact results are cacheable: values within the cutoff, and
-	// the Infeasible sentinel (definitive regardless of cutoff).
-	// Cutoff-clamped lower bounds are not.
+	// the Infeasible sentinel (definitive regardless of cutoff), but not
+	// rejections.
 	if ms <= cutoff || ms == Infeasible {
 		ent := cacheEntry{ms: ms}
 		if en != nil {

@@ -42,10 +42,10 @@ func randomOps(rng *rand.Rand, g *graph.DAG, p *platform.Platform, base mapping.
 }
 
 // TestCacheBitIdentical evaluates identical op streams through a cached
-// and an uncached engine under varying cutoffs. Every result at or below
-// the cutoff (and every Infeasible) must be bit-identical; results above
-// the cutoff must be above it on both engines (the raw clamped value may
-// differ, which is exactly the engine's cutoff contract).
+// and an uncached engine under varying cutoffs. Every result — exact,
+// Infeasible or rejected — must be bit-identical on both engines to what
+// the cutoff contract makes of the op's exact makespan, including cache
+// hits on exact entries stored under a looser cutoff.
 func TestCacheBitIdentical(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(7))
@@ -58,19 +58,17 @@ func TestCacheBitIdentical(t *testing.T) {
 	cutoffs := []float64{math.Inf(1), ref, ref * 0.9, ref * 0.5}
 	for round := 0; round < 3; round++ { // repeated rounds re-propose ops -> hits
 		ops := randomOps(rng, g, p, base, 200)
+		exact := make([]float64, len(ops))
+		for i, op := range ops {
+			exact[i] = plain.Makespan(op.Base.Clone().Assign(op.Patch, op.Device))
+		}
 		for _, cutoff := range cutoffs {
 			want := plain.EvaluateBatch(ops, cutoff)
 			got := cached.EvaluateBatch(ops, cutoff)
 			for i := range ops {
-				switch {
-				case want[i] == Infeasible || want[i] <= cutoff:
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("cutoff %g op %d: cached %v != plain %v", cutoff, i, got[i], want[i])
-					}
-				default:
-					if got[i] <= cutoff {
-						t.Fatalf("cutoff %g op %d: cached %v within cutoff, plain %v beyond", cutoff, i, got[i], want[i])
-					}
+				w := wantUnder(exact[i], cutoff)
+				if math.Float64bits(got[i]) != math.Float64bits(w) || math.Float64bits(want[i]) != math.Float64bits(w) {
+					t.Fatalf("cutoff %g op %d: cached %v, plain %v, want %v", cutoff, i, got[i], want[i], w)
 				}
 			}
 		}
@@ -112,10 +110,11 @@ func TestCacheMOLazyEnergy(t *testing.T) {
 	}
 }
 
-// TestCacheClampedResultsNotStored drives evaluations whose results
-// exceed the cutoff and verifies the clamped lower bounds never enter
-// the cache (a later uncut evaluation must still produce the exact
-// makespan).
+// TestCacheClampedResultsNotStored drives an evaluation whose result
+// exceeds the cutoff and verifies the rejection never enters the cache
+// (a later uncut evaluation must still produce the exact makespan), and
+// that the stored exact entry is then served under the cutoff as the
+// same rejection.
 func TestCacheClampedResultsNotStored(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(5))
@@ -125,15 +124,19 @@ func TestCacheClampedResultsNotStored(t *testing.T) {
 
 	m := mapping.Mapping(make([]int, g.NumTasks()))
 	exact := ref.Makespan(m)
-	if got := eng.MakespanCutoff(m, exact/4); got <= exact/4 {
-		t.Fatalf("cutoff evaluation unexpectedly within cutoff: %v", got)
+	cutoff := exact / 4
+	if got := eng.MakespanCutoff(m, cutoff); math.Float64bits(got) != math.Float64bits(rejected(cutoff)) {
+		t.Fatalf("cutoff evaluation: %v, want the rejection %v", got, rejected(cutoff))
 	}
 	if got := eng.Makespan(m); math.Float64bits(got) != math.Float64bits(exact) {
 		t.Fatalf("exact evaluation after clamped one: %v != %v (stale clamped entry?)", got, exact)
 	}
-	// And the now-exact entry serves subsequent cutoff calls.
-	if got := eng.MakespanCutoff(m, exact/4); math.Float64bits(got) != math.Float64bits(exact) {
-		t.Fatalf("cached exact value not served under cutoff: %v != %v", got, exact)
+	// The now-exact entry serves subsequent cutoff calls as the rejection.
+	if got := eng.MakespanCutoff(m, cutoff); math.Float64bits(got) != math.Float64bits(rejected(cutoff)) {
+		t.Fatalf("cached exact value under cutoff: %v, want the rejection %v", got, rejected(cutoff))
+	}
+	if st := eng.Cache().Stats(); st.Hits != 1 {
+		t.Fatalf("the last evaluation was not a cache hit: %+v", st)
 	}
 }
 

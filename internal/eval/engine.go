@@ -127,10 +127,8 @@ func (e *Engine) WithWorkers(w int) *Engine {
 // are routed through b, coalescing them with the batch calls of every
 // other goroutine (and, in the mapping service, every other request)
 // sharing the batcher into single underlying batch runs. Each op keeps
-// its own cutoff: results at or below it are bit-identical to the
-// direct path, and results above it stay above it, though their
-// lower-bound magnitude may differ with the flush that carries the op
-// (see Batcher). Only the batch entry points coalesce — single-op
+// its own cutoff, and every result is bit-identical to the direct
+// path's. Only the batch entry points coalesce — single-op
 // calls (Makespan, Evaluate, Incremental sessions) stay direct, since
 // blocking a serial search loop on the flush deadline would cost
 // latency without amortizing anything.
@@ -201,12 +199,12 @@ func (e *Engine) Makespan(m mapping.Mapping) float64 {
 
 // MakespanCutoff is Makespan with bounded early exit against a caller
 // cutoff: any schedule whose partial makespan exceeds the cutoff (or the
-// best completed schedule so far) is aborted. The result is exact and
-// bit-identical to Makespan whenever it is <= cutoff; a result > cutoff
-// only certifies that the true makespan also exceeds the cutoff (the
-// value itself is a lower bound, not the makespan). Mapper search loops
-// pass their incumbent here to discard non-improving candidates at a
-// fraction of a full evaluation's cost.
+// best completed schedule so far) is aborted. The result is Infeasible
+// for an infeasible m, else bit-identical to Makespan when that is
+// <= cutoff, else math.Nextafter(cutoff, +Inf) — the cutoff contract
+// every evaluation entry point obeys. Mapper search loops pass their
+// incumbent here to discard non-improving candidates at a fraction of a
+// full evaluation's cost.
 func (e *Engine) MakespanCutoff(m mapping.Mapping, cutoff float64) float64 {
 	st := e.getState()
 	ms := e.evalOp(st, Op{Base: m}, cutoff, nil, nil, nil)
@@ -243,7 +241,7 @@ func (e *Engine) Evaluate(op Op, cutoff float64) float64 {
 // scheduling — so deterministic reductions (argmin with index
 // tie-breaking, GA selection, ...) stay deterministic. On an engine
 // derived via WithBatcher the ops are coalesced with other callers'
-// batches (same results at or below the cutoff, see Batcher).
+// batches (same results, see Batcher).
 func (e *Engine) EvaluateBatch(ops []Op, cutoff float64) []float64 {
 	out := make([]float64, len(ops))
 	e.batchCore(nil, ops, cutoff, out, nil)

@@ -9,6 +9,7 @@ package eval_test
 // import model, which itself builds on eval.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,79 +94,86 @@ func TestEngineMatchesReferenceSimulation(t *testing.T) {
 	}
 }
 
+// TestEngineCutoffContract pins the single-op entry points to the cutoff
+// contract: MakespanCutoff and Evaluate return, bit for bit, the
+// reference makespan at or below the cutoff, Infeasible for infeasible
+// mappings, and math.Nextafter(cutoff, +Inf) above the cutoff.
 func TestEngineCutoffContract(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(11))
 	g := gen.SeriesParallel(rng, 60, gen.DefaultAttr())
 	ev := model.NewEvaluator(g, p).WithSchedules(20, 5)
 	eng := ev.Engine()
+	ref := ev.ReferenceMakespan(mapping.Baseline(g, p))
 	for i := 0; i < 40; i++ {
 		m := randomMapping(rng, g.NumTasks(), p.NumDevices())
 		exact := ev.ReferenceMakespan(m)
+		scale := exact
 		if exact == model.Infeasible {
-			continue
+			scale = ref
 		}
 		for _, f := range []float64{0.25, 0.5, 0.9, 1.0, 1.1, 2.0} {
-			cutoff := exact * f
-			got := eng.MakespanCutoff(m, cutoff)
-			if got <= cutoff {
-				// At or below the cutoff the result must be exact.
-				if got != exact {
-					t.Fatalf("mapping %d cutoff %v: got %v, want exact %v", i, cutoff, got, exact)
-				}
-			} else {
-				// Above the cutoff the result is a certificate: the true
-				// makespan must indeed exceed the cutoff, and the returned
-				// partial value must lower-bound it.
-				if exact <= cutoff {
-					t.Fatalf("mapping %d cutoff %v: spurious reject (exact %v)", i, cutoff, exact)
-				}
-				if got > exact {
-					t.Fatalf("mapping %d cutoff %v: partial %v exceeds exact %v", i, cutoff, got, exact)
+			cutoff := scale * f
+			want := eval.WantUnder(exact, cutoff)
+			for _, got := range []float64{eng.MakespanCutoff(m, cutoff), eng.Evaluate(eval.Op{Base: m}, cutoff)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("mapping %d cutoff %v: got %v, want %v (exact %v)", i, cutoff, got, want, exact)
 				}
 			}
-		}
-		// A cutoff at exactly the makespan must keep the result exact.
-		if got := eng.MakespanCutoff(m, exact); got != exact {
-			t.Fatalf("mapping %d: cutoff==makespan returned %v, want %v", i, got, exact)
 		}
 	}
 }
 
-// TestBatchResumeCutoffContract exercises the prefix-resume path (shared
-// base + patches) under a finite cutoff: every result at or below the
-// cutoff must be bit-identical to the reference simulation, and every
-// result above it must correctly certify a reference makespan above the
-// cutoff.
+// TestBatchResumeCutoffContract pins every batch entry point to the
+// cutoff contract under finite cutoffs: EvaluateBatch, EvaluateBatchCtx
+// and the makespan column of EvaluateBatchVec, on Workers 1 and 4, with
+// and without a cache, for patched ops sharing one base (the
+// prefix-resume path) and for the same candidates as whole mappings (no
+// recorded prefix). Every result must equal, bit for bit, the reference
+// makespan at or below the cutoff, Infeasible, or
+// math.Nextafter(cutoff, +Inf).
 func TestBatchResumeCutoffContract(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(13))
 	g := gen.AlmostSeriesParallel(rng, 60, 30, gen.DefaultAttr())
 	ev := model.NewEvaluator(g, p).WithSchedules(20, 8)
-	eng := ev.Engine()
 	base := mapping.Baseline(g, p)
 	incumbent := ev.ReferenceMakespan(base)
 
 	var ops []eval.Op
+	var exact []float64
 	for v := 0; v < g.NumTasks(); v++ {
 		for d := 0; d < p.NumDevices(); d++ {
-			ops = append(ops, eval.Op{Base: base, Patch: []graph.NodeID{graph.NodeID(v)}, Device: d})
+			patch := []graph.NodeID{graph.NodeID(v)}
+			m := base.Clone().Assign(patch, d)
+			ops = append(ops, eval.Op{Base: base, Patch: patch, Device: d}, eval.Op{Base: m})
+			x := ev.ReferenceMakespan(m)
+			exact = append(exact, x, x)
 		}
 	}
-	for _, cutoff := range []float64{incumbent * 0.5, incumbent, incumbent * 1.5} {
-		got := eng.EvaluateBatch(ops, cutoff)
-		for i, op := range ops {
-			exact := ev.ReferenceMakespan(op.Base.Clone().Assign(op.Patch, op.Device))
-			if got[i] <= cutoff {
-				if got[i] != exact {
-					t.Fatalf("cutoff %v op %d: got %v, want exact %v", cutoff, i, got[i], exact)
+	for _, workers := range []int{1, 4} {
+		plain := ev.Engine().WithWorkers(workers)
+		for _, eng := range []*eval.Engine{plain, plain.WithCache(eval.NewCache())} {
+			cached := eng.Cache() != nil
+			// Loosest cutoff first, so the cached engine later serves exact
+			// entries above a tighter cutoff as rejections.
+			for _, cutoff := range []float64{incumbent * 1.5, incumbent, incumbent * 0.5} {
+				ctxOut, err := eng.EvaluateBatchCtx(context.Background(), ops, cutoff)
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if exact != model.Infeasible {
-				if exact <= cutoff {
-					t.Fatalf("cutoff %v op %d: spurious reject %v (exact %v)", cutoff, i, got[i], exact)
+				paths := map[string][]float64{
+					"EvaluateBatch":    eng.EvaluateBatch(ops, cutoff),
+					"EvaluateBatchCtx": ctxOut,
+					"EvaluateBatchVec": eng.EvaluateBatchVec(ops, []eval.Objective{eval.MakespanObjective()}, cutoff)[0],
 				}
-				if got[i] > exact {
-					t.Fatalf("cutoff %v op %d: partial %v exceeds exact %v", cutoff, i, got[i], exact)
+				for name, got := range paths {
+					for i := range ops {
+						if want := eval.WantUnder(exact[i], cutoff); math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("%s workers=%d cached=%v cutoff %v op %d: got %v, want %v (exact %v)",
+								name, workers, cached, cutoff, i, got[i], want, exact[i])
+						}
+					}
 				}
 			}
 		}

@@ -5,8 +5,9 @@ package eval_test
 // the fuzzer drives a random DAG, random task attributes, a random
 // mapping and a random schedule set, and the engine must reproduce
 // model.Evaluator.ReferenceMakespan bit-for-bit — serially, batched
-// over 1 and 4 workers, with and without a finite cutoff, and on the
-// patched prefix-resume path. The payload's last byte picks the platform:
+// over 1 and 4 workers, and on the patched prefix-resume path — and,
+// under a finite cutoff, return exactly what the cutoff contract makes
+// of it. The payload's last byte picks the platform:
 // the reference one or a variant with multi-slot CPU and GPU (see
 // eval.SlotPlatforms).
 
@@ -108,29 +109,20 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			}
 		}
 
-		// Cutoff contract: at or below the cutoff the result is exact;
-		// above it the result certifies (and lower-bounds) a makespan
-		// beyond the cutoff.
+		// Cutoff contract: the exact makespan at or below the cutoff,
+		// Infeasible, or math.Nextafter(cutoff, +Inf) above it — bit for
+		// bit on every path.
 		if want != model.Infeasible {
 			for _, cutoff := range []float64{want, want * 0.75, want * 1.25} {
-				got := eng.MakespanCutoff(m, cutoff)
-				if got <= cutoff && got != want {
-					t.Fatalf("cutoff %v: got %v, want exact %v", cutoff, got, want)
-				}
-				if got > cutoff && (want <= cutoff || got > want) {
-					t.Fatalf("cutoff %v: invalid certificate %v (exact %v)", cutoff, got, want)
+				if got, w := eng.MakespanCutoff(m, cutoff), eval.WantUnder(want, cutoff); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("cutoff %v: got %v, want %v (exact %v)", cutoff, got, w, want)
 				}
 			}
 			for _, workers := range []int{1, 4} {
 				got := eng.WithWorkers(workers).EvaluateBatch(ops, want)
 				for i := range got {
-					if got[i] <= want && got[i] != wantBatch[i] {
-						t.Fatalf("workers=%d cutoff op %d: %v != exact %v", workers, i, got[i], wantBatch[i])
-					}
-					if got[i] > want && wantBatch[i] != model.Infeasible &&
-						(wantBatch[i] <= want || got[i] > wantBatch[i]) {
-						t.Fatalf("workers=%d cutoff op %d: invalid certificate %v (exact %v)",
-							workers, i, got[i], wantBatch[i])
+					if w := eval.WantUnder(wantBatch[i], want); math.Float64bits(got[i]) != math.Float64bits(w) {
+						t.Fatalf("workers=%d cutoff op %d: %v, want %v (exact %v)", workers, i, got[i], w, wantBatch[i])
 					}
 				}
 			}
@@ -172,13 +164,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			}
 			if wantC != model.Infeasible && wantC > 0 {
 				cutoff := wantC * [3]float64{0.75, 1, 1.25}[rng.Intn(3)]
-				got := inc.Evaluate(patch, dev, cutoff)
-				if got <= cutoff && got != wantC {
-					t.Fatalf("session step %d cutoff %v: got %v, want exact %v", step, cutoff, got, wantC)
-				}
-				if got > cutoff && (wantC <= cutoff || got > wantC) {
-					t.Fatalf("session step %d cutoff %v: invalid certificate %v (exact %v)",
-						step, cutoff, got, wantC)
+				if got, w := inc.Evaluate(patch, dev, cutoff), eval.WantUnder(wantC, cutoff); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("session step %d cutoff %v: got %v, want %v (exact %v)", step, cutoff, got, w, wantC)
 				}
 			}
 			switch rng.Intn(4) {

@@ -24,10 +24,10 @@ import (
 // the candidates a search rejects, whatever its bounds cut off: the
 // candidate's critical path and preLB before the replay, then the path
 // bound, the dominance abort and the running makespan during it (see
-// makespanInc and simOrderInc). Every returned bound is
-// deflated by loadSlack so float rounding can never push it above the
-// true makespan — the engine's cutoff contract (a result > cutoff both
-// certifies and lower-bounds) survives intact.
+// makespanInc and simOrderInc). Every bound is deflated by loadSlack so
+// float rounding can never push it above the true makespan: a bound
+// above the cutoff proves the rejection, and the rejection is reported
+// as rejected(cutoff) whichever bound proved it.
 
 // loadSlack deflates the path and dominance lower bounds against float
 // rounding: a bound's real-arithmetic value never exceeds the true
@@ -178,7 +178,7 @@ func (k *kernel) readerShift(st *simState, m []int, o, v, od, dv int, recS, recF
 // the mutation reaches past pmax structurally), and the slot-state lag
 // at the current position (slotGap). When sufMax - E, deflated once
 // against float rounding, still exceeds the caller's bound, the order
-// aborts with it: for rejected candidates this typically fires at the
+// aborts: for rejected candidates this typically fires at the
 // first position past the last patched one, with E = 0 degenerating to
 // plain one-sided dominance. The check is monotone: sufMax never rises
 // along the order, pert never falls, delta is fixed and slotGap only
@@ -189,14 +189,13 @@ func (k *kernel) readerShift(st *simState, m []int, o, v, od, dv int, recS, recF
 //
 // Every placement executes the identical floating-point sequence as
 // simOrder, so completed results are bit-identical to a full replay, and
-// the bound-abort contract is simOrder's: an aborted order returns a
-// value that exceeds bound and lower-bounds its makespan.
-func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax int, patch []graph.NodeID, pre *batchPrefix, bound float64) (float64, bool) {
+// the bound-abort contract is simOrder's: an aborted order returns +Inf.
+func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax int, patch []graph.NodeID, pre *batchPrefix, bound float64) float64 {
 	n, ns := k.n, k.numSlots
 	copy(st.free, pre.freeCkpt[(o*n+r)*ns:(o*n+r+1)*ns])
 	makespan := pre.msCkpt[o*n+r]
 	if makespan > bound {
-		return makespan, false
+		return math.Inf(1)
 	}
 	lbOn := !math.IsInf(bound, 1)
 	preStart := pre.start[o*n : (o+1)*n]
@@ -230,8 +229,8 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax int, patch []grap
 				if g := slotGap(free, pre.freeCkpt[(o*n+pi)*ns:(o*n+pi+1)*ns]); g > e {
 					e = g
 				}
-				if lb := (sm - e) * loadSlack; lb > bound {
-					return lb, false
+				if (sm-e)*loadSlack > bound {
+					return math.Inf(1)
 				}
 			}
 		}
@@ -292,8 +291,8 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax int, patch []grap
 			// see kernel.residual) anticipates the whole chain below v
 			// instead of waiting for the running makespan to discover it
 			// one placement at a time.
-			if x := (fin + st.res[v]) * loadSlack; x > bound {
-				return x, false
+			if (fin+st.res[v])*loadSlack > bound {
+				return math.Inf(1)
 			}
 		}
 		// Only an EARLIER time perturbs the dominance bound, and only for
@@ -315,11 +314,11 @@ func (k *kernel) simOrderInc(st *simState, m []int, o, r, pmax int, patch []grap
 		if fin > makespan {
 			makespan = fin
 			if makespan > bound {
-				return makespan, false
+				return math.Inf(1)
 			}
 		}
 	}
-	return makespan, true
+	return makespan
 }
 
 // rebaseOrder replays order o from position r to the end under mapping
@@ -596,12 +595,10 @@ func (k *kernel) commit(st *simState, base []int, patch []graph.NodeID, device i
 // the dominance abort and the in-replay path bound (see simOrderInc).
 // dom = false disables the dominance abort — the replay of patches a
 // session's gate rejects. Results follow makespan's contract and
-// aggregation: the returned value is the exact schedule-set minimum
-// whenever it is <= cutoff, and otherwise both exceeds the cutoff and
-// lower-bounds the true makespan. Orders are visited smallest recorded
-// makespan first (then in index order), which tightens every later
-// order's bound; only the value of an over-cutoff certificate depends on
-// the visiting order.
+// aggregation: Infeasible, else the exact schedule-set minimum when it
+// is <= cutoff, else rejected(cutoff). Orders are visited smallest
+// recorded makespan first (then in index order), which tightens every
+// later order's bound.
 func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *batchPrefix, cutoff float64, dom bool) float64 {
 	if !k.feasible(st, m) {
 		return Infeasible
@@ -611,8 +608,8 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 	for _, v := range patch {
 		st.patchMark[v] = st.patchEpoch
 	}
-	if crit := k.residual(st, m) * loadSlack; crit > cutoff {
-		return crit
+	if k.residual(st, m)*loadSlack > cutoff {
+		return rejected(cutoff)
 	}
 	// Visit the order with the smallest recorded makespan first, then the
 	// rest in index order: a candidate's best order is usually the base's,
@@ -624,8 +621,7 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 			first = o
 		}
 	}
-	best := math.Inf(1)
-	minAbort := math.Inf(1)
+	best := math.Inf(1) // min over the orders; rejected ones are +Inf
 	for j := 0; j < k.numOrders; j++ {
 		o := j - 1 // visit j: first, then 0..first-1, then first+1..
 		if j == 0 {
@@ -637,31 +633,21 @@ func (k *kernel) makespanInc(st *simState, m []int, patch []graph.NodeID, pre *b
 		if best < bound {
 			bound = best
 		}
-		if !math.IsInf(bound, 1) {
-			if plb := k.preLB(st, m, o, patch, pre); plb > bound {
-				if plb < minAbort {
-					minAbort = plb
-				}
-				continue
-			}
+		if !math.IsInf(bound, 1) && k.preLB(st, m, o, patch, pre) > bound {
+			continue
 		}
 		i0, pmax := k.patchWindow(o, patch)
 		if !dom {
 			pmax = n
 		}
-		ms, complete := k.simOrderInc(st, m, o, i0, pmax, patch, pre, bound)
-		if complete {
-			if ms < best {
-				best = ms
-			}
-		} else if ms < minAbort {
-			minAbort = ms
+		if ms := k.simOrderInc(st, m, o, i0, pmax, patch, pre, bound); ms < best {
+			best = ms
 		}
 	}
-	if !math.IsInf(best, 1) {
-		return best
+	if best > cutoff {
+		return rejected(cutoff)
 	}
-	return minAbort
+	return best
 }
 
 // IncrementalStats counts an Incremental session's activity. All
@@ -695,8 +681,8 @@ type IncrementalStats struct {
 // All results are bit-identical to the corresponding Engine calls on the
 // materialized mapping. The session holds its scratch and recording for
 // its whole lifetime, so the steady state allocates nothing; it bypasses
-// any attached evaluation Cache (its results are exact either way, so
-// cached and uncached searches still decide identically) and is NOT safe
+// any attached evaluation Cache (a cached engine returns the same values,
+// so cached and uncached searches decide identically) and is NOT safe
 // for concurrent use. Close returns the held buffers to the engine's
 // pools.
 type Incremental struct {
@@ -737,12 +723,16 @@ func (s *Incremental) ensure() {
 }
 
 // Evaluate returns the makespan of the session base with every patched
-// task remapped to device, under the engine's MakespanCutoff contract.
-// The base itself is not modified. Patches must not repeat a task.
+// task remapped to device, under the engine's cutoff contract; an empty
+// patch evaluates the base itself. The base is not modified. Patches
+// must not repeat a task.
 func (s *Incremental) Evaluate(patch []graph.NodeID, device int, cutoff float64) float64 {
 	s.stats.Evals++
 	if len(patch) == 0 {
-		return s.Makespan()
+		if ms := s.Makespan(); ms == Infeasible || ms <= cutoff {
+			return ms
+		}
+		return rejected(cutoff)
 	}
 	s.ensure()
 	st := s.st

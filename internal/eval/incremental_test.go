@@ -21,9 +21,9 @@ import (
 
 // TestIncrementalMatchesEngine drives a long hill-climb-style session —
 // single-task moves, co-moves, rejections, long apply runs and
-// occasional rebases — and checks every Evaluate against
-// Engine.MakespanCutoff on the materialized mapping under the cutoff
-// contract, and every Makespan against Engine.Makespan.
+// occasional rebases — and checks every Evaluate bit for bit against
+// what the cutoff contract makes of Engine.Makespan on the materialized
+// mapping, and every Makespan against Engine.Makespan.
 func TestIncrementalMatchesEngine(t *testing.T) {
 	p := platform.Reference()
 	nd := p.NumDevices()
@@ -61,15 +61,8 @@ func TestIncrementalMatchesEngine(t *testing.T) {
 				cutoff = want * (0.8 + 0.4*rng.Float64())
 			}
 			got := inc.Evaluate(patch, dev, cutoff)
-			switch {
-			case got <= cutoff || math.IsInf(cutoff, 1):
-				if got != want {
-					t.Fatalf("seed %d step %d: eval %v != engine %v (cutoff %v)", seed, step, got, want, cutoff)
-				}
-			case got > want:
-				t.Fatalf("seed %d step %d: certificate %v exceeds exact %v", seed, step, got, want)
-			case want <= cutoff:
-				t.Fatalf("seed %d step %d: false reject %v of %v <= cutoff %v", seed, step, got, want, cutoff)
+			if w := eval.WantUnder(want, cutoff); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("seed %d step %d: eval %v, want %v (engine %v, cutoff %v)", seed, step, got, w, want, cutoff)
 			}
 			// Accept aggressively: long accept runs fold many moves into
 			// one recording between rebuilds.
@@ -134,12 +127,13 @@ func TestIncrementalGateFallback(t *testing.T) {
 			t.Fatalf("dev %d: gated pair eval %v != engine %v", dev, a, want)
 		}
 		// Under a finite cutoff only the accepting session's replay can
-		// take the dominance abort: both must meet the cutoff contract.
+		// take the dominance abort: both must return the same value, the
+		// one the cutoff contract prescribes.
 		for _, cutoff := range []float64{want, want * 0.9} {
 			for _, s := range []*eval.Incremental{reject, accept} {
 				got := s.Evaluate(pair, dev, cutoff)
-				if (want <= cutoff && got != want) || (want > cutoff && (got <= cutoff || got > want)) {
-					t.Fatalf("dev %d cutoff %v: pair eval %v breaks the cutoff contract (exact %v)", dev, cutoff, got, want)
+				if w := eval.WantUnder(want, cutoff); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("dev %d cutoff %v: pair eval %v, want %v (exact %v)", dev, cutoff, got, w, want)
 				}
 			}
 		}
@@ -154,8 +148,8 @@ func TestIncrementalGateFallback(t *testing.T) {
 }
 
 // TestIncrementalEdgeCases covers the degenerate inputs: an empty patch
-// evaluates the base itself, and a zero-task graph evaluates to
-// makespan 0.
+// evaluates the base itself under the cutoff contract, and a zero-task
+// graph evaluates to makespan 0.
 func TestIncrementalEdgeCases(t *testing.T) {
 	p := platform.Reference()
 	rng := rand.New(rand.NewSource(3))
@@ -166,8 +160,11 @@ func TestIncrementalEdgeCases(t *testing.T) {
 
 	inc := eng.Incremental(base, nil)
 	defer inc.Close()
-	if got, want := inc.Evaluate(nil, 0, math.Inf(1)), eng.Makespan(base); got != want {
-		t.Fatalf("empty-patch eval %v != base makespan %v", got, want)
+	ms := eng.Makespan(base)
+	for _, cutoff := range []float64{math.Inf(1), ms, ms / 2} {
+		if got, want := inc.Evaluate(nil, 0, cutoff), eval.WantUnder(ms, cutoff); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("empty-patch eval under cutoff %v: %v, want %v", cutoff, got, want)
+		}
 	}
 	inc.Apply(nil, 0) // must be a no-op
 	if got, want := inc.Makespan(), eng.Makespan(base); got != want {

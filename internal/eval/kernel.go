@@ -12,9 +12,15 @@
 // set, so each order's simulation aborts as soon as its partial makespan,
 // or a placed task's finish plus the mapping's downstream residual,
 // exceeds the best completed order so far (or a caller-supplied cutoff).
-// Results are bit-identical to the straightforward simulation for every
-// value at or below the cutoff, which keeps the greedy mappers'
-// deterministic-cost termination guarantee (paper §III-A) intact.
+//
+// Every makespan evaluation path obeys one cutoff contract: an
+// infeasible mapping yields Infeasible; otherwise the result is the
+// exact makespan, bit-identical to the straightforward simulation, when
+// that is at or below the cutoff, and math.Nextafter(cutoff, +Inf) when
+// it is above.
+// The value therefore never depends on which path, cache or batch
+// evaluated the mapping, and the greedy mappers' deterministic-cost
+// termination guarantee (paper §III-A) stays intact.
 package eval
 
 import (
@@ -27,6 +33,12 @@ import (
 // Infeasible is the makespan reported for mappings that violate device
 // area capacities. It equals model.Infeasible.
 const Infeasible = math.MaxFloat64
+
+// rejected is the one value every makespan evaluation path reports for a
+// feasible mapping proven to exceed cutoff: the smallest float64 above
+// it. It exceeds the cutoff and, since the true makespan does too, is at
+// most the true makespan.
+func rejected(cutoff float64) float64 { return math.Nextafter(cutoff, math.Inf(1)) }
 
 // ExecTime returns the modeled execution time of task v on device d
 // (paper §II-B). Work is complexity x input bytes. Non-streaming devices
@@ -478,14 +490,13 @@ func (k *kernel) residual(st *simState, m []int) float64 {
 }
 
 // simOrder simulates the o-th schedule order of mapping m from an empty
-// schedule. It returns the makespan and true if the simulation ran to
-// completion; if the partial makespan, or a placed task's finish plus
-// its downstream residual st.res (deflated by loadSlack), ever exceeds
-// bound, it aborts and returns that value with false. Every floating-
-// point operation of a placement matches model.Evaluator.MakespanOrder
-// in value and sequence, so completed simulations are bit-identical to
-// the reference.
-func (k *kernel) simOrder(st *simState, m []int, o int, bound float64) (float64, bool) {
+// schedule and returns its makespan; if the partial makespan, or a
+// placed task's finish plus its downstream residual st.res (deflated by
+// loadSlack), ever exceeds bound, it aborts and returns +Inf: the
+// order's makespan exceeds bound. Every floating-point operation of a
+// placement matches model.Evaluator.MakespanOrder in value and sequence,
+// so completed simulations are bit-identical to the reference.
+func (k *kernel) simOrder(st *simState, m []int, o int, bound float64) float64 {
 	n, res := k.n, st.res
 	var makespan float64
 	for i := range st.free {
@@ -541,8 +552,8 @@ func (k *kernel) simOrder(st *simState, m []int, o int, bound float64) (float64,
 		if streamDrain > fin {
 			fin = streamDrain
 		}
-		if x := (fin + res[v]) * loadSlack; x > bound {
-			return x, false
+		if (fin+res[v])*loadSlack > bound {
+			return math.Inf(1)
 		}
 		start[v], finish[v] = startT, fin
 		if s0 < s1 {
@@ -552,14 +563,14 @@ func (k *kernel) simOrder(st *simState, m []int, o int, bound float64) (float64,
 			makespan = fin
 			if makespan > bound {
 				// The running makespan is monotone non-decreasing, so this
-				// order's final makespan is >= the bound: it can neither
+				// order's final makespan exceeds the bound: it can neither
 				// become the schedule-set minimum (bound <= best completed
 				// order) nor beat the caller's cutoff.
-				return makespan, false
+				return math.Inf(1)
 			}
 		}
 	}
-	return makespan, true
+	return makespan
 }
 
 // buildPrefix records the full simulation of base into pre: the base
@@ -587,41 +598,32 @@ func (k *kernel) buildPrefix(st *simState, base []int, pre *batchPrefix) {
 }
 
 // makespan evaluates mapping m over the kernel's schedule set with
-// bounded early exit. The result is the exact schedule-set minimum
-// (bit-identical to the reference simulation) whenever it is <= cutoff;
-// otherwise some partial lower bound > cutoff is returned. Infeasible
-// mappings yield Infeasible. It fills st.res for m once (kernel.residual)
-// and returns the critical path as that lower bound when it alone
-// exceeds the cutoff; otherwise every order replays with the residual
-// abort armed against the cutoff or the best completed order.
+// bounded early exit, under the package's cutoff contract: Infeasible,
+// else the exact schedule-set minimum (bit-identical to the reference
+// simulation) when it is <= cutoff, else rejected(cutoff). It fills
+// st.res for m once (kernel.residual) and rejects m outright when its
+// critical path alone exceeds the cutoff; otherwise every order replays
+// with the residual abort armed against the cutoff or the best completed
+// order.
 func (k *kernel) makespan(st *simState, m []int, cutoff float64) float64 {
 	if !k.feasible(st, m) {
 		return Infeasible
 	}
-	if crit := k.residual(st, m) * loadSlack; crit > cutoff {
-		return crit
+	if k.residual(st, m)*loadSlack > cutoff {
+		return rejected(cutoff)
 	}
-	best := math.Inf(1)     // min over completed orders
-	minAbort := math.Inf(1) // min over aborted partials (all > cutoff-ish)
+	best := math.Inf(1) // min over the orders; aborted ones are +Inf
 	for o := 0; o < k.numOrders; o++ {
 		bound := cutoff
 		if best < bound {
 			bound = best
 		}
-		ms, complete := k.simOrder(st, m, o, bound)
-		if complete {
-			if ms < best {
-				best = ms
-			}
-		} else if ms < minAbort {
-			minAbort = ms
+		if ms := k.simOrder(st, m, o, bound); ms < best {
+			best = ms
 		}
 	}
-	if !math.IsInf(best, 1) {
-		return best
+	if best > cutoff {
+		return rejected(cutoff)
 	}
-	// Every order aborted against the caller's cutoff; report the smallest
-	// partial makespan observed. It exceeds the cutoff by construction and
-	// lower-bounds the true makespan.
-	return minAbort
+	return best
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -24,10 +25,12 @@ import (
 //     moves repair in place instead of re-recording
 //     (Engine.Incremental).
 //
-// Both must return bit-identical values at or below the cutoff and
-// therefore accept exactly the same moves; the experiment panics on any
-// divergence, making every throughput row a correctness check too. Reported throughput is candidate evaluations per second
-// including the cost of committing accepted moves.
+// Both must return a bit-identical value for every move — the exact
+// makespan at or below the cutoff, the engine's rejection value above it
+// — and therefore accept exactly the same moves; the experiment panics
+// on any divergence, making every throughput row a correctness check
+// too. Reported throughput is candidate evaluations per second including
+// the cost of committing accepted moves.
 
 // IncrementalRow is one (graph size, strategy) measurement.
 type IncrementalRow struct {
@@ -88,39 +91,38 @@ func IncrementalComparison(cfg Config) []IncrementalRow {
 		}
 
 		eng := ev.Engine().WithWorkers(1)
-		type result struct {
-			accepted int
-			final    float64
-		}
+		// run replays the move sequence and returns the row and every
+		// move's value.
 		run := func(mode string, base mapping.Mapping, evalMove func(base mapping.Mapping, mv moveSeq, cutoff float64) float64,
-			apply func(base mapping.Mapping, mv moveSeq)) (IncrementalRow, result) {
+			apply func(base mapping.Mapping, mv moveSeq)) (IncrementalRow, []float64) {
 			cur := eng.Makespan(base)
-			var res result
+			vals := make([]float64, len(moves))
+			accepted := 0
 			t0 := time.Now()
-			for _, mv := range moves {
+			for i, mv := range moves {
 				val := evalMove(base, mv, cur)
+				vals[i] = val
 				if val < cur {
 					apply(base, mv)
 					cur = val
-					res.accepted++
+					accepted++
 				}
 			}
 			el := time.Since(t0)
-			res.final = cur
 			row := IncrementalRow{
 				Tasks: n, Mode: mode,
-				Moves: len(moves), Accepted: res.accepted,
+				Moves: len(moves), Accepted: accepted,
 				TimeMS:      float64(el.Microseconds()) / 1000,
 				MovesPerSec: float64(len(moves)) / el.Seconds(),
 				Makespan:    cur,
 			}
-			return row, res
+			return row, vals
 		}
 
 		// Full replay: the candidate is materialized and simulated from an
 		// empty schedule.
 		cand := mapping.Baseline(g, p)
-		fullRow, fullRes := run("full", mapping.Baseline(g, p),
+		fullRow, fullVals := run("full", mapping.Baseline(g, p),
 			func(base mapping.Mapping, mv moveSeq, cutoff float64) float64 {
 				copy(cand, base)
 				cand.Assign(mv.patch, mv.device)
@@ -130,21 +132,21 @@ func IncrementalComparison(cfg Config) []IncrementalRow {
 
 		// Incremental session: persistent recording, in-place repair.
 		inc := eng.Incremental(mapping.Baseline(g, p), nil)
-		incRow, incRes := run("incremental", mapping.Baseline(g, p),
+		incRow, incVals := run("incremental", mapping.Baseline(g, p),
 			func(base mapping.Mapping, mv moveSeq, cutoff float64) float64 {
 				return inc.Evaluate(mv.patch, mv.device, cutoff)
 			},
 			func(base mapping.Mapping, mv moveSeq) { inc.Apply(mv.patch, mv.device) })
 		inc.Close()
 
-		// Differential gate: identical decisions and bit-identical exact
-		// values, or the run is worthless as a benchmark. Session values
-		// above the cutoff are certified lower bounds, not exact
-		// makespans, so only sub-cutoff values are comparable — the
-		// accepted/final check covers those.
-		if incRes.accepted != fullRes.accepted || incRes.final != fullRes.final {
-			panic(fmt.Sprintf("incremental experiment: mode diverged at n=%d: accepted %d/%d final %v/%v",
-				n, incRes.accepted, fullRes.accepted, incRes.final, fullRes.final))
+		// Differential gate: every move's value, rejections included, is
+		// bit-identical across the modes (hence so are their decisions),
+		// or the run is worthless as a benchmark.
+		for i := range moves {
+			if math.Float64bits(incVals[i]) != math.Float64bits(fullVals[i]) {
+				panic(fmt.Sprintf("incremental experiment: mode diverged at n=%d move %d: full %v, incremental %v",
+					n, i, fullVals[i], incVals[i]))
+			}
 		}
 
 		fullRow.SpeedupVsFull = 1

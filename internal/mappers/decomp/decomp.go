@@ -348,10 +348,11 @@ func batchEngine(ev *model.Evaluator, opt Options) *eval.Engine {
 // batchDeltas evaluates every operation that would change m as one
 // engine batch against the incumbent cost `best` and returns the
 // improvement deltas aligned with ops: 0 for no-op operations, -Inf for
-// infeasible results, best - makespan otherwise. Results above the
-// cutoff follow the engine's clamping contract (they can never exceed
-// best - cutoff, so a cutoff of best - epsilon keeps any delta that
-// could be selected exact).
+// infeasible results, best - makespan otherwise. A candidate above the
+// cutoff comes back as the engine's rejection value
+// math.Nextafter(cutoff, +Inf), whose delta falls below best - cutoff,
+// so a cutoff of best - epsilon keeps any delta that could be selected
+// exact.
 func batchDeltas(eng *eval.Engine, ops []mapOp, m mapping.Mapping, best, cutoff float64, stats *Stats) []float64 {
 	batch := make([]eval.Op, 0, len(ops))
 	idx := make([]int, 0, len(ops))

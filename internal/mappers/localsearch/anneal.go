@@ -11,8 +11,8 @@ import (
 // acceptTailFactor bounds how far above the incumbent an annealing
 // proposal is still evaluated exactly: at delta = acceptTailFactor x T
 // the Metropolis acceptance probability is exp(-acceptTailFactor)
-// (~2e-9), so proposals whose cutoff-clamped result certifies a larger
-// delta are rejected outright without an RNG draw.
+// (~2e-9), so proposals the engine rejects at that cutoff (a larger
+// delta) are rejected outright without an RNG draw.
 const acceptTailFactor = 20
 
 // Proposal mix: with probability subMoveProb a subgraph co-move (one of
@@ -101,8 +101,9 @@ func (s *searcher) anneal() {
 				ops[i] = eval.Op{Base: s.cur, Patch: patches[i : i+1], Device: d}
 			}
 		}
-		// Results at or below the cutoff are exact; anything beyond the
-		// acceptance tail is rejected without needing its exact value.
+		// Results at or below the cutoff are exact; a candidate beyond the
+		// acceptance tail comes back as the rejection value, above the
+		// cutoff, and is rejected without needing its exact value.
 		cutoff := s.curVal + acceptTailFactor*temp
 		res := s.evalBatch(ops[:batch], cutoff)
 		s.stats.Evaluations += batch

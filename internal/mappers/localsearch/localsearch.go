@@ -374,10 +374,11 @@ func (s *searcher) msCutFor(bound float64) float64 {
 
 // evalBatch evaluates ops and returns index-aligned objective values
 // against the value bound: values at or below the bound are exact;
-// larger values only certify a value beyond the bound; Infeasible marks
-// infeasible candidates. In weighted mode the per-op true objectives
-// land in lastMS/lastEn (exact wherever the value is at or below the
-// bound).
+// Infeasible marks infeasible candidates; any other value above the
+// bound is a rejection and says only that the candidate's value exceeds
+// it (the session's math.Nextafter(bound, +Inf), or +Inf in weighted
+// mode). In weighted mode the per-op true objectives land in
+// lastMS/lastEn (exact wherever the value is at or below the bound).
 func (s *searcher) evalBatch(ops []eval.Op, bound float64) []float64 {
 	if !s.mo {
 		vals := s.resultBuf(len(ops))
@@ -396,8 +397,8 @@ func (s *searcher) evalBatch(ops []eval.Op, bound float64) []float64 {
 		case ms[i] == model.Infeasible:
 			vals[i] = model.Infeasible
 		case ms[i] > msCut:
-			// Clamped makespan: the candidate's cost certifiably exceeds
-			// the bound (see msCutFor), but is not exact.
+			// Rejected makespan: the candidate's cost exceeds the bound
+			// (see msCutFor).
 			vals[i] = math.Inf(1)
 		default:
 			vals[i] = s.cost(ms[i], en[i])
@@ -410,10 +411,11 @@ func (s *searcher) evalBatch(ops []eval.Op, bound float64) []float64 {
 // ops are evaluated serially with the cutoff progressively tightened to
 // the best value seen so far. The subsequent argmin (strict improvement
 // over the running winner, lowest index on ties) is provably unchanged:
-// any candidate at or below the running cutoff is exact, and any
-// cutoff-clamped result certifies a value that could not have won —
-// so the tightening only buys earlier simulation aborts. Must not be
-// used where every exact value matters (annealing's Metropolis scan).
+// any candidate at or below the running cutoff is exact, and a rejected
+// one comes back as math.Nextafter(cut, +Inf), above the running winner,
+// so it could not have won — the tightening only buys earlier simulation
+// aborts. Must not be used where every exact value matters (annealing's
+// Metropolis scan).
 func (s *searcher) evalBatchMin(ops []eval.Op, bound float64) []float64 {
 	vals := s.resultBuf(len(ops))
 	cut := bound

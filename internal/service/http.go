@@ -523,10 +523,9 @@ type evaluateRequest struct {
 	Base     []int      `json:"base,omitempty"`
 	Moves    []evalMove `json:"moves,omitempty"`
 	// Cutoff bounds each evaluation (0 = exact): results at or below it
-	// are exact makespans; candidates above it are reported as null.
-	// (Engine-internal over-cutoff values are lower-bound certificates
-	// whose magnitude depends on the evaluation path, so leaking them
-	// would break the byte-determinism contract.)
+	// are exact makespans; candidates above it are reported as null, the
+	// wire form of the engine's rejection value
+	// math.Nextafter(cutoff, +Inf).
 	Cutoff float64 `json:"cutoff,omitempty"`
 	Energy bool    `json:"energy,omitempty"`
 }
@@ -634,10 +633,9 @@ func (s *Service) handleEvaluate(ctx context.Context, body []byte, t *Timing, si
 	return resp, nil
 }
 
-// clampCutoff nulls every over-cutoff result: an engine value above the
-// cutoff is a lower-bound certificate whose magnitude depends on the
-// evaluation path taken (full replay, prefix resume, cached exact), so
-// only its "worse than cutoff" meaning is stable enough to serve.
+// clampCutoff nulls every over-cutoff result. Under the engine's cutoff
+// contract such a value is math.Nextafter(cutoff, +Inf) (or Infeasible),
+// which says only "worse than the cutoff", so null says it on the wire.
 func clampCutoff(ms []float64, cutoff float64) []*float64 {
 	out := make([]*float64, len(ms))
 	for i := range ms {

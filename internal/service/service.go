@@ -16,11 +16,12 @@
 // Determinism contract: for a fixed request (graph, platform,
 // schedules, seed, algo, budget) the response body is byte-identical
 // regardless of how many other requests are in flight, whether
-// coalescing is on or off, and for any worker count — coalescing and
-// caching change which flush carries an op and which exact value above
-// a cutoff is observed, never a result a mapper acts on. Per-request
-// timing is therefore opt-in ("timing": true) and excluded from the
-// contract.
+// coalescing is on or off, and for any worker count. Every evaluation
+// obeys the engine's one cutoff contract — Infeasible; else the exact
+// makespan if it is at or below the cutoff; else
+// math.Nextafter(cutoff, +Inf) — so coalescing and caching change which
+// flush carries an op, never a value. Per-request timing, which does
+// vary, is opt-in ("timing": true) and excluded from the contract.
 package service
 
 import (
